@@ -3,7 +3,7 @@
 A trial's result is its LS error, its IRLS error, its IRLS rejected-station
 set and its fused IRLS position. "Same" means every float within
 ``TOLERANCE_M`` and the rejected set identical. The reference files under
-``reference/`` were recorded at the presets' default root seed by
+``reference/`` were recorded at the default ``--seed`` by
 ``record_reference.py``.
 """
 

@@ -2,7 +2,8 @@
 
     python3 perfbench/record_reference.py
 
-For each workload preset at its default root seed, writes
+For each workload preset at the default ``--seed`` (the presets' root
+seed, split into chunks as ``run.chunk_configs`` does), writes
 ``reference/<preset>.csv``: each trial's LS and IRLS errors and IRLS
 rejected set from ``run_batch``, and the fused position from
 ``irls_position`` on the same epoch. Run it only on a commit whose results
@@ -24,12 +25,13 @@ def record(preset: str) -> Path:
     from irlspos.config import load_config
 
     cfg = load_config(preset)
+    chunks = run.chunk_configs(cfg, run.DEFAULT_SEED)
     failures = run.Failures()
     out_dir = run.OUT_DIR / "record"
-    _, batch = run.batch_pass(cfg, out_dir, failures)
-    fixes = run.fix_sweep(cfg, run.emulate_epochs(cfg), [], failures)
+    _, batch = run.batch_pass(chunks, out_dir, failures)
+    fixes = run.fix_sweep(cfg, run.emulate_epochs(chunks), {}, failures)
     shutil.rmtree(out_dir, ignore_errors=True)
-    if failures.count or batch is None:
+    if failures.count:
         sys.exit(f"{preset}: {failures.count} operations failed; nothing recorded")
     problems = gate.mismatches(fixes, batch)
     if problems:

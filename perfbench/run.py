@@ -4,14 +4,18 @@ Run from the repository root:
 
     python3 perfbench/run.py --workload batch_nlos --seed 1 --seconds 50 --trace 0
 
-A workload is one bundled preset (see ``WORKLOADS``), its root seed replaced
-by ``--seed``. Set-up, untimed: ``SETUP_REPEATS`` fresh interpreters each
-time ``import irlspos`` and ``load_config``; the preset's 1,150 measurement
-epochs are emulated; a canary of default-seed trials is checked against the
-recorded reference. Then rounds repeat until ``--seconds`` have passed. A
-round is one batch pass (``run_batch`` then ``export_results``, timed
-together) and one fix sweep: ``irls_position`` on each epoch in turn, a
-closed loop with one caller, each call timed on its own.
+A workload is one bundled preset (see ``WORKLOADS``): its 23 PoIs x 50
+trials = 1,150 trials, drawn from ``--seed`` as ``CHUNKS`` run_batch inputs
+of 5 trials per PoI each (see ``chunk_configs``). Set-up, untimed:
+``SETUP_REPEATS`` fresh interpreters each time ``import irlspos`` and
+``load_config``; the 1,150 measurement epochs are emulated; a canary of
+default-seed trials is checked against the recorded reference. Then rounds
+repeat until ``--seconds`` have passed. A round is one batch pass (per
+chunk, ``run_batch`` then ``export_results``, timed together) and one fix
+sweep: ``irls_position`` on each epoch in turn, a closed loop with one
+caller, each call timed on its own. A host probe is timed before each
+chunk and each block of fixes, and every time is reported at the host's
+reference speed (hostprobe.py, ``end_to_end_metrics``).
 
 With ``--trace 0`` the last stdout line carries the end-to-end metrics of
 BENCHMARK.json; with ``--trace 1`` traced and untraced rounds alternate and
@@ -46,7 +50,11 @@ OUT_DIR = BENCH_DIR / "out"
 
 DEFAULT_SEED = 20240601
 WORKLOADS = {"batch_static": "static_cband", "batch_nlos": "semidynamic_cband"}
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
+# run_batch calls per batch pass; the preset's trials_per_poi must divide by it
+CHUNKS = 10
+# fixes timed after each host probe
+FIX_BLOCK = 46
 CANARY_TRIALS_PER_POI = 2
 # per-layer figures that count work; they must repeat exactly between rounds
 COUNTERS = (
@@ -80,6 +88,7 @@ print(json.dumps({"import_s": t1 - t0, "load_config_s": t3 - t2}))
 sys.path.insert(0, str(BENCH_DIR))
 import gate  # noqa: E402
 from gate import TrialResult  # noqa: E402
+import hostprobe  # noqa: E402
 
 
 def nproc() -> int:
@@ -124,9 +133,12 @@ def environment() -> dict:
 
 
 def measure_setup(preset: str) -> tuple[list[float], list[float]]:
-    """(import seconds, load_config seconds), one pair per fresh interpreter."""
-    imports, loads = [], []
+    """(import seconds, load_config seconds) at the reference speed, one pair
+    per fresh interpreter, each scaled by a host probe timed just before the
+    interpreter starts. The wall-clock median is printed."""
+    imports, loads, walls = [], [], []
     for _ in range(SETUP_REPEATS):
+        scale = hostprobe.scale()
         done = subprocess.run(
             [sys.executable, "-c", SETUP_CODE, preset],
             cwd=ROOT,
@@ -137,8 +149,10 @@ def measure_setup(preset: str) -> tuple[list[float], list[float]]:
             check=True,
         )
         figures = json.loads(done.stdout.strip().splitlines()[-1])
-        imports.append(figures["import_s"])
-        loads.append(figures["load_config_s"])
+        imports.append(figures["import_s"] * scale)
+        loads.append(figures["load_config_s"] * scale)
+        walls.append(figures["import_s"] + figures["load_config_s"])
+    print(f"setup wall-clock: median {statistics.median(walls):.6g} s")
     return imports, loads
 
 
@@ -146,19 +160,38 @@ def trial_keys(cfg) -> list[tuple[int, int]]:
     return [(p, t) for p in range(len(cfg.pois)) for t in range(cfg.trials_per_poi)]
 
 
-def emulate_epochs(cfg) -> list[tuple[tuple[int, int], object]]:
-    from irlspos import harness
-
+def chunk_configs(cfg, seed: int, count: int = CHUNKS) -> list[tuple[int, object]]:
+    """The first ``count`` of the workload's CHUNKS run_batch inputs, as
+    (trial offset, config). Chunk c draws from root seed ``seed * CHUNKS + c``
+    and holds trials_per_poi / CHUNKS trials per PoI; its trial t is the
+    workload's trial ``offset + t``. A short call sees the host at one
+    speed, which the probe timed just before it measures."""
+    per, rest = divmod(cfg.trials_per_poi, CHUNKS)
+    if rest:
+        raise ValueError(f"{cfg.trials_per_poi} trials per PoI do not split into {CHUNKS}")
     return [
-        (key, harness.emulate_trial_measurements(cfg, *key)[0]) for key in trial_keys(cfg)
+        (c * per, cfg.with_overrides(root_seed=seed * CHUNKS + c, trials_per_poi=per))
+        for c in range(count)
     ]
 
 
-def batch_results(batch) -> dict[tuple[int, int], TrialResult]:
-    """Per-trial LS error, IRLS error and IRLS rejected set of a TrialBatch."""
+def emulate_epochs(chunks) -> list[tuple[tuple[int, int], object]]:
+    """Every trial's measurement set, keyed by its workload (PoI, trial)."""
+    from irlspos import harness
+
+    return [
+        ((p, offset + t), harness.emulate_trial_measurements(part, p, t)[0])
+        for offset, part in chunks
+        for p, t in trial_keys(part)
+    ]
+
+
+def batch_results(batch, offset: int = 0) -> dict[tuple[int, int], TrialResult]:
+    """Per-trial LS error, IRLS error and IRLS rejected set of a TrialBatch
+    whose trial t is the workload's trial ``offset + t``."""
     ls, irls = {}, {}
     for rec in batch.per_trial:
-        key = (rec.poi_index, rec.trial_index)
+        key = (rec.poi_index, offset + rec.trial_index)
         if rec.method == "LS":
             ls[key] = rec.error_2d_m
         else:
@@ -198,39 +231,54 @@ class Failures:
         self.count += n
 
 
-def batch_pass(cfg, out_dir: Path, failures: Failures):
-    """(wall seconds of run_batch + export_results, per-trial results)."""
+def batch_pass(chunks, out_dir: Path, failures: Failures, tracer=None, probe=False):
+    """({chunk index: (wall seconds of run_batch + export_results, host probe
+    scale)}, per-trial results) over the chunks in turn; the scale is 1
+    unless ``probe``. A chunk that raises is left out of both and its trials
+    count as failed."""
     from irlspos import harness
 
-    trials = len(cfg.pois) * cfg.trials_per_poi
-    failures.attempted += trials
-    try:
-        t0 = time.perf_counter()
-        batch = harness.run_batch(cfg)
-        harness.export_results(batch, out_dir)
-        wall = time.perf_counter() - t0
-    except Exception:  # a failed pass is counted, and the run goes on
-        failures.record("batch pass", trials)
-        return None, None
-    return wall, batch_results(batch)
+    walls, results = {}, {}
+    for index, (offset, part) in enumerate(chunks):
+        trials = len(part.pois) * part.trials_per_poi
+        failures.attempted += trials
+        if tracer is not None:
+            tracer.trial_offset = offset
+        scale = hostprobe.scale() if probe else 1.0
+        try:
+            t0 = time.perf_counter()
+            batch = harness.run_batch(part)
+            harness.export_results(batch, out_dir)
+            walls[index] = (time.perf_counter() - t0, scale)
+        except Exception:  # a failed chunk is counted, and the run goes on
+            failures.record(f"batch chunk {index}", trials)
+            continue
+        results.update(batch_results(batch, offset))
+    return walls, results
 
 
-def fix_sweep(cfg, epochs, latencies: list[float], failures: Failures, tracer=None):
-    """One closed-loop irls_position call per epoch; per-trial results."""
+def fix_sweep(cfg, epochs, latencies: dict, failures: Failures, tracer=None, probe=False):
+    """One closed-loop irls_position call per epoch; per-trial results. Each
+    call's (latency seconds, host probe scale) goes into ``latencies`` under
+    its trial key; if ``probe``, the probe is timed before every FIX_BLOCK
+    calls, else the scale is 1."""
     from irlspos import irls
 
     position = irls.irls_position
     stations = sorted(cfg.stations, key=lambda s: s.id)
     clock = time.perf_counter
     results = {}
+    scale = 1.0
     failures.attempted += len(epochs)
-    for key, mset in epochs:
+    for i, (key, mset) in enumerate(epochs):
+        if probe and i % FIX_BLOCK == 0:
+            scale = hostprobe.scale()
         if tracer is not None:
             tracer.trial = key
         try:
             t0 = clock()
             estimate = position(mset, stations, cfg.solver, cfg.irls)
-            latencies.append(clock() - t0)
+            latencies[key] = (clock() - t0, scale)
         except Exception:  # a failed fix is counted, and the loop goes on
             failures.record(f"fix {key}")
             continue
@@ -242,16 +290,14 @@ def canary(preset: str, failures: Failures) -> list[str]:
     """Default-seed trials checked against the reference at any seed."""
     from irlspos.config import load_config
 
-    cfg = load_config(preset).with_overrides(
-        root_seed=DEFAULT_SEED, trials_per_poi=CANARY_TRIALS_PER_POI
-    )
+    _, first = chunk_configs(load_config(preset), DEFAULT_SEED, 1)[0]
+    cfg = first.with_overrides(trials_per_poi=CANARY_TRIALS_PER_POI)
+    chunks = [(0, cfg)]
     reference = gate.load_reference(preset)
     export_dir = OUT_DIR / f"canary_{os.getpid()}"
-    _, batch = batch_pass(cfg, export_dir, failures)
-    fixes = fix_sweep(cfg, emulate_epochs(cfg), [], failures)
+    _, batch = batch_pass(chunks, export_dir, failures)
+    fixes = fix_sweep(cfg, emulate_epochs(chunks), {}, failures)
     shutil.rmtree(export_dir, ignore_errors=True)
-    if batch is None:
-        return ["canary batch failed"]
     problems = gate.mismatches(batch, reference) + gate.mismatches(fixes, reference)
     if set(batch) != set(trial_keys(cfg)) or set(fixes) != set(trial_keys(cfg)):
         problems.append("canary results incomplete")
@@ -303,15 +349,14 @@ class Rounds:
 
     batches: list = field(default_factory=list)
     sweeps: list = field(default_factory=list)
-    pass_walls: list = field(default_factory=list)
-    sweep_walls: list = field(default_factory=list)  # (fixes, seconds)
-    latencies: list = field(default_factory=list)  # seconds, one list per sweep
+    pass_walls: list = field(default_factory=list)  # {chunk: (seconds, scale)}, one per pass
+    latencies: list = field(default_factory=list)  # {trial key: (seconds, scale)}, one per sweep
     traced: list = field(default_factory=list)  # round indices
     traced_walls: list = field(default_factory=list)
     untraced_walls: list = field(default_factory=list)
 
 
-def measure(cfg, epochs, seconds: float, failures: Failures, tracer=None) -> Rounds:
+def measure(cfg, chunks, epochs, seconds: float, failures: Failures, tracer=None) -> Rounds:
     """Repeat rounds until ``seconds`` pass; with a tracer, every other round
     is traced."""
     out = Rounds()
@@ -325,23 +370,25 @@ def measure(cfg, epochs, seconds: float, failures: Failures, tracer=None) -> Rou
             tracer.install()
         gc.collect()
         start = time.perf_counter()
-        wall, batch = batch_pass(cfg, export_dir, failures)
+        walls, batch = batch_pass(
+            chunks, export_dir, failures, tracer if traced else None, probe=True
+        )
         if traced:
             tracer.phase = "fix"
-        sweep_start = time.perf_counter()
-        latencies = []
-        sweep = fix_sweep(cfg, epochs, latencies, failures, tracer if traced else None)
+        latencies = {}
+        sweep = fix_sweep(
+            cfg, epochs, latencies, failures, tracer if traced else None, probe=True
+        )
         end = time.perf_counter()
         if traced:
             tracer.uninstall()
             out.traced.append(index)
         (out.traced_walls if traced else out.untraced_walls).append(end - start)
-        if batch is not None:
+        if len(walls) == len(chunks):
             out.batches.append(batch)
-            out.pass_walls.append(wall)
+        out.pass_walls.append(walls)
         out.sweeps.append(sweep)
         out.latencies.append(latencies)
-        out.sweep_walls.append((len(sweep), end - sweep_start))
         index += 1
         # stop before a round that would end past the deadline
         enough = out.untraced_walls and (tracer is None or out.traced_walls)
@@ -351,31 +398,67 @@ def measure(cfg, epochs, seconds: float, failures: Failures, tracer=None) -> Rou
     return out
 
 
-def end_to_end_metrics(rounds: Rounds, trials: int, setup_totals) -> dict[str, float]:
-    """fix_p99_ms is the median over sweeps of each sweep's p99 (1,150
-    fixes, 11 beyond it): a burst of host noise that lands in one sweep
-    moves it less than it moves the p99 of all fixes pooled."""
-    pooled = [x for sweep in rounds.latencies for x in sweep]
-    metrics = {
-        "setup_s": statistics.median(setup_totals),
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-    }
+def unit_medians(runs: list[dict], scaled: bool = True) -> dict:
+    """Per key, the median over the runs of its seconds, each times its probe
+    scale if ``scaled``."""
+    values: dict = {}
+    for r in runs:
+        for key, (seconds, scale) in r.items():
+            values.setdefault(key, []).append(seconds * scale if scaled else seconds)
+    return {key: statistics.median(v) for key, v in values.items()}
+
+
+def fix_scale(rounds: Rounds) -> float:
+    """The median probe scale over the run's fixes: the run's host speed
+    relative to the reference."""
+    return statistics.median(f for r in rounds.latencies for _, f in r.values())
+
+
+def timing_metrics(rounds: Rounds, trials: int, scaled: bool = True) -> dict[str, float]:
+    """trials_per_s is the workload's trials over the summed per-chunk median
+    times; the fix figures are taken over the 1,150 per-epoch median
+    latencies, so fix_p99_ms (11 epochs beyond it) is the program's own tail,
+    the epochs with capped or repeated solves.
+
+    fix_p99_ms alone is scaled by the run's median probe scale rather than
+    unit by unit. It is the 12th largest of 1,150 values, so it picks the
+    epochs whose block probe happened to read slow, and the noise of the
+    per-block scale, which a sum or a median averages out, pushes it up by
+    a different amount in each run."""
+    chunks = unit_medians(rounds.pass_walls, scaled)
+    fixes = list(unit_medians(rounds.latencies, scaled).values())
     # a metric whose every operation failed is left out, not reported as 0
-    if rounds.pass_walls:
-        metrics["trials_per_s"] = trials * len(rounds.pass_walls) / sum(rounds.pass_walls)
-    if pooled:
-        metrics["fixes_per_s"] = len(pooled) / sum(w for _, w in rounds.sweep_walls)
-        metrics["fix_p50_ms"] = 1e3 * percentile(pooled, 50)
-        metrics["fix_p99_ms"] = 1e3 * statistics.median(
-            percentile(s, 99) for s in rounds.latencies if s
-        )
+    metrics = {}
+    if chunks:
+        metrics["trials_per_s"] = trials / CHUNKS * len(chunks) / math.fsum(chunks.values())
+    if fixes:
+        metrics["fixes_per_s"] = len(fixes) / math.fsum(fixes)
+        metrics["fix_p50_ms"] = 1e3 * percentile(fixes, 50)
+        wall = list(unit_medians(rounds.latencies, scaled=False).values())
+        run_scale = fix_scale(rounds) if scaled else 1.0
+        metrics["fix_p99_ms"] = 1e3 * percentile(wall, 99) * run_scale
+    return metrics
+
+
+def end_to_end_metrics(rounds: Rounds, trials: int, setup_totals) -> dict[str, float]:
+    """Times are at the host's reference speed: each chunk's and each fix's
+    wall time times the scale of the host probe timed just before it (see
+    hostprobe.py and timing_metrics). The wall-clock figures are printed
+    next to them."""
+    metrics = timing_metrics(rounds, trials)
+    metrics["setup_s"] = statistics.median(setup_totals)
+    metrics["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     if rounds.batches:
         metrics.update(accuracy(rounds.batches[0]))
     print(
-        f"samples: {len(rounds.pass_walls)} batch passes of {trials} trials, "
-        f"{len(pooled)} fixes in {len(rounds.latencies)} sweeps, "
-        f"{len(setup_totals)} fresh-interpreter set-ups"
+        f"samples: {len(rounds.pass_walls)} batch passes of {trials} trials in "
+        f"{CHUNKS} chunks, {sum(map(len, rounds.latencies))} fixes in "
+        f"{len(rounds.latencies)} sweeps, {len(setup_totals)} fresh-interpreter set-ups"
     )
+    if any(rounds.latencies):
+        print(f"host speed / reference speed: median {fix_scale(rounds):.4g}")
+    wall = timing_metrics(rounds, trials, scaled=False)
+    print("wall-clock: " + ", ".join(f"{k}={v:.6g}" for k, v in wall.items()))
     return metrics
 
 
@@ -428,13 +511,14 @@ def run(args) -> int:
         tracer = Tracer()
         tracer.phase = "setup"
         tracer.install()
-    cfg = load_config(preset).with_overrides(root_seed=args.seed)
+    cfg = load_config(preset)
     if tracer:
         tracer.uninstall()
-    epochs = emulate_epochs(cfg)
+    chunks = chunk_configs(cfg, args.seed)
+    epochs = emulate_epochs(chunks)
     problems = canary(preset, failures)
 
-    rounds = measure(cfg, epochs, args.seconds, failures, tracer)
+    rounds = measure(cfg, chunks, epochs, args.seconds, failures, tracer)
     problems += consistency(cfg, args.seed, rounds.batches, rounds.sweeps, preset)
     if tracer:
         metrics = layer_metrics(

@@ -11,8 +11,10 @@ from types import SimpleNamespace
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import gate  # noqa: E402
 import run  # noqa: E402
+from irlspos.presets import get_preset  # noqa: E402
 
 PRESETS = sorted(run.WORKLOADS.values())
 
@@ -94,7 +96,33 @@ def test_missing_or_unknown_trial_trips_gate(preset, reference):
 
 
 def test_metrics_of_failed_operations_are_left_out():
-    rounds = run.Rounds(latencies=[[0.002, 0.003]], sweep_walls=[(2, 0.005)])
+    rounds = run.Rounds(latencies=[{(0, 0): (0.002, 1.0), (0, 1): (0.003, 1.0)}])
     metrics = run.end_to_end_metrics(rounds, 1150, [1.0])
     assert "trials_per_s" not in metrics and "ls_mean_error_m" not in metrics
     assert metrics["fixes_per_s"] == pytest.approx(400.0)
+
+
+def test_times_are_unit_medians_at_reference_speed():
+    # (seconds, probe scale): a scale of 0.5 marks a host at half speed
+    sweeps = [
+        {(0, 0): (0.004, 0.5), (0, 1): (0.001, 1.0)},
+        {(0, 0): (0.002, 1.0), (0, 1): (0.003, 1.0)},
+        {(0, 1): (0.002, 1.0)},
+    ]
+    assert run.unit_medians(sweeps) == {(0, 0): 0.002, (0, 1): 0.002}
+    assert run.unit_medians(sweeps, scaled=False) == {(0, 0): 0.003, (0, 1): 0.002}
+    passes = [{0: (0.5, 0.5), 1: (0.3, 1.0)}, {0: (0.25, 1.0)}, {0: (0.2, 1.0), 1: (0.3, 1.0)}]
+    metrics = run.timing_metrics(run.Rounds(pass_walls=passes, latencies=sweeps), 1150)
+    # two chunks of 1150 / CHUNKS trials each, medians 0.25 s and 0.3 s
+    assert metrics["trials_per_s"] == pytest.approx(2 * 1150 / run.CHUNKS / 0.55)
+    assert metrics["fixes_per_s"] == pytest.approx(2 / 0.004)
+    # p99 of the wall-time medians (3 ms, 2 ms) times the median scale, 1
+    assert metrics["fix_p99_ms"] == pytest.approx(2.99)
+
+
+def test_chunks_cover_the_workload_once():
+    cfg = get_preset("static_cband")
+    chunks = run.chunk_configs(cfg, 7)
+    assert len({part.root_seed for _, part in chunks}) == run.CHUNKS
+    keys = [(p, offset + t) for offset, part in chunks for p, t in run.trial_keys(part)]
+    assert sorted(keys) == run.trial_keys(cfg)

@@ -72,6 +72,8 @@ class Tracer:
     def __init__(self) -> None:
         self.spans: list[list] = []
         self.trial: tuple[int, int] | None = None
+        # added to the trial index a batch call passes, to give the workload's
+        self.trial_offset = 0
         self.phase = ""
         self.round = 0
         self.present: list[tuple[str, str, str]] = []
@@ -114,7 +116,7 @@ class Tracer:
 
         def wrapper(*args, **kwargs):
             if name == "channel.emulate" and len(args) >= 3:
-                self.trial = (args[1], args[2])
+                self.trial = (args[1], args[2] + self.trial_offset)
             span_id = len(spans)
             record = [name, 0, 0, span_id, stack[-1] if stack else -1,
                       self.trial, self.phase, self.round, None]
