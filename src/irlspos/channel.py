@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import signal as _signal
 
 from .errors import ConfigError
 from .geometry import (
@@ -304,13 +303,17 @@ def estimate_toa_from_waveform(waveform: SampledWaveform, band: BandProfile) -> 
     Exact ties break to the earliest grid time, matching first-arrival
     semantics.
     """
+    # deferred: importing scipy.signal costs more than a second and ~75 MB,
+    # and only the waveform emulator needs it
+    from scipy import signal
+
     x = waveform.samples
     if x.size == 0:
         raise ValueError("degenerate waveform: empty")
     if not np.any(x):
         raise ValueError("degenerate waveform: all samples are zero")
     template = _pulse_template(band, waveform.sample_rate_hz)
-    matched = _signal.correlate(x, template, mode="same")
+    matched = signal.correlate(x, template, mode="same")
     return float(waveform.times_s[int(np.argmax(np.abs(matched)))])
 
 

@@ -113,6 +113,8 @@ class ScenarioConfig:
             raise ConfigError(f"schedule_period_s must be >= 0, got {self.schedule_period_s!r}")
         if self.trials_per_poi < 1:
             raise ConfigError(f"trials_per_poi must be >= 1, got {self.trials_per_poi!r}")
+        if self.root_seed < 0:
+            raise ConfigError(f"root_seed must be >= 0, got {self.root_seed!r}")
         if self.noise_override_m is not None and self.noise_override_m < 0:
             raise ConfigError(f"noise_override_m must be >= 0, got {self.noise_override_m!r}")
 
@@ -140,6 +142,44 @@ def _require(mapping: dict, key: str, context: str) -> Any:
     return mapping[key]
 
 
+def _number(value: Any, what: str) -> float:
+    """A finite real scalar. Numeric strings count, since YAML reads an
+    exponent without a decimal point, such as 1e-6, as a string."""
+    if not isinstance(value, bool):
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            pass
+        else:
+            if math.isfinite(number):
+                return number
+    raise ConfigError(f"{what}: expected a finite number, got {value!r}")
+
+
+def _integer(value: Any, what: str) -> int:
+    """An integer scalar; an integral float such as 50.0 counts, a fraction
+    or a string does not."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{what}: expected an integer, got {value!r}")
+
+
+def _flag(value: Any, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{what}: expected true or false, got {value!r}")
+    return value
+
+
+def _section(raw: dict, key: str) -> dict:
+    """An optional nested mapping; absent means all defaults."""
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key}: expected a mapping, got {value!r}")
+    return value
+
+
 def _band_from_mapping(raw: dict) -> BandProfile:
     if not isinstance(raw, dict):
         raise ConfigError("band: expected a mapping")
@@ -147,26 +187,46 @@ def _band_from_mapping(raw: dict) -> BandProfile:
     has_linear = "snr_linear" in raw
     if has_db == has_linear:
         raise ConfigError("band: specify exactly one of snr_db or snr_linear")
-    snr_linear = 10.0 ** (float(raw["snr_db"]) / 10.0) if has_db else float(raw["snr_linear"])
-    rolloff = float(raw.get("rolloff", 0.25))
     try:
         return BandProfile.with_defaults(
-            carrier_frequency_hz=float(_require(raw, "carrier_frequency_hz", "band")),
-            bandwidth_hz=float(_require(raw, "bandwidth_hz", "band")),
-            subcarrier_spacing_hz=float(_require(raw, "subcarrier_spacing_hz", "band")),
-            snr_linear=snr_linear,
-            signal_time_period_s=float(raw.get("signal_time_period_s", 1e-5)),
-            rolloff=rolloff,
+            carrier_frequency_hz=_number(
+                _require(raw, "carrier_frequency_hz", "band"), "carrier_frequency_hz"
+            ),
+            bandwidth_hz=_number(_require(raw, "bandwidth_hz", "band"), "bandwidth_hz"),
+            subcarrier_spacing_hz=_number(
+                _require(raw, "subcarrier_spacing_hz", "band"), "subcarrier_spacing_hz"
+            ),
+            snr_linear=(
+                10.0 ** (_number(raw["snr_db"], "snr_db") / 10.0)
+                if has_db
+                else _number(raw["snr_linear"], "snr_linear")
+            ),
+            signal_time_period_s=_number(
+                raw.get("signal_time_period_s", 1e-5), "signal_time_period_s"
+            ),
+            rolloff=_number(raw.get("rolloff", 0.25), "rolloff"),
             symbol_period_s=(
-                float(raw["symbol_period_s"]) if "symbol_period_s" in raw else None
+                _number(raw["symbol_period_s"], "symbol_period_s")
+                if "symbol_period_s" in raw
+                else None
             ),
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"band: {exc}") from exc
 
 
+def _point(raw: Any, what: str) -> Position2D:
+    if not isinstance(raw, dict) or "x" not in raw or "y" not in raw:
+        raise ConfigError(f"{what}: expected {{x, y}}, got {raw!r}")
+    return Position2D(_number(raw["x"], f"{what}.x"), _number(raw["y"], f"{what}.y"))
+
+
 def config_from_mapping(raw: dict, name: str = "") -> ScenarioConfig:
-    """Build and validate a ScenarioConfig from parsed YAML data."""
+    """Build and validate a ScenarioConfig from parsed YAML data.
+
+    Every malformed field, a scalar of the wrong type included, raises
+    ConfigError; nothing is truncated or coerced from a fraction.
+    """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
 
@@ -175,22 +235,18 @@ def config_from_mapping(raw: dict, name: str = "") -> ScenarioConfig:
         raise ConfigError("stations: expected a non-empty list")
     stations = []
     for i, st in enumerate(stations_raw):
-        try:
-            stations.append(
-                BaseStation(int(st["id"]), Position2D(float(st["x"]), float(st["y"])))
+        if not isinstance(st, dict) or "id" not in st:
+            raise ConfigError(f"stations[{i}]: expected {{id, x, y}}, got {st!r}")
+        stations.append(
+            BaseStation(
+                _integer(st["id"], f"stations[{i}].id"), _point(st, f"stations[{i}]")
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"stations[{i}]: expected {{id, x, y}}, got {st!r}") from exc
+        )
 
     pois_raw = _require(raw, "pois", "config")
     if not isinstance(pois_raw, list) or not pois_raw:
         raise ConfigError("pois: expected a non-empty list")
-    pois = []
-    for i, poi in enumerate(pois_raw):
-        try:
-            pois.append(Position2D(float(poi["x"]), float(poi["y"])))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"pois[{i}]: expected {{x, y}}, got {poi!r}") from exc
+    pois = [_point(poi, f"pois[{i}]") for i, poi in enumerate(pois_raw)]
 
     bias_raw = raw.get("bias_model", {"type": "exponential", "mean_m": 3.0})
     if not isinstance(bias_raw, dict) or "type" not in bias_raw:
@@ -199,30 +255,39 @@ def config_from_mapping(raw: dict, name: str = "") -> ScenarioConfig:
     value_key = "value_m" if kind == "fixed" else "mean_m"
     if value_key not in bias_raw:
         raise ConfigError(f"bias_model: {kind!r} model requires {value_key!r}")
-    bias_model = BiasModel(kind=kind, value_m=float(bias_raw[value_key]))
+    bias_model = BiasModel(
+        kind=kind, value_m=_number(bias_raw[value_key], f"bias_model.{value_key}")
+    )
 
-    solver_raw = raw.get("solver", {})
-    irls_raw = raw.get("irls", {})
+    solver_raw = _section(raw, "solver")
+    guess = solver_raw.get("initial_guess")
     try:
+        if guess is not None and (not isinstance(guess, list) or len(guess) != 2):
+            raise ConfigError(f"initial_guess: expected [x, y], got {guess!r}")
         solver = SolverSettings(
-            max_iterations=int(solver_raw.get("max_iterations", 50)),
-            step_tolerance_m=float(solver_raw.get("step_tolerance_m", 1e-6)),
-            initial_guess=(
-                Position2D(*map(float, solver_raw["initial_guess"]))
-                if "initial_guess" in solver_raw
-                else None
+            max_iterations=_integer(solver_raw.get("max_iterations", 50), "max_iterations"),
+            step_tolerance_m=_number(
+                solver_raw.get("step_tolerance_m", 1e-6), "step_tolerance_m"
             ),
-            bounds_margin_m=float(solver_raw.get("bounds_margin_m", 1.0)),
+            initial_guess=(
+                None
+                if guess is None
+                else Position2D(*(_number(v, "initial_guess") for v in guess))
+            ),
+            bounds_margin_m=_number(
+                solver_raw.get("bounds_margin_m", 1.0), "bounds_margin_m"
+            ),
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
+    irls_raw = _section(raw, "irls")
     try:
         irls = IrlsSettings(
-            u_max_m=float(irls_raw.get("u_max_m", 1.0)),
-            epsilon_m=float(irls_raw.get("epsilon_m", 1e-3)),
-            max_iterations=int(irls_raw.get("max_iterations", 100)),
+            u_max_m=_number(irls_raw.get("u_max_m", 1.0), "u_max_m"),
+            epsilon_m=_number(irls_raw.get("epsilon_m", 1e-3), "epsilon_m"),
+            max_iterations=_integer(irls_raw.get("max_iterations", 100), "max_iterations"),
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"irls: {exc}") from exc
 
     noise_override = raw.get("noise_override_m")
@@ -231,18 +296,26 @@ def config_from_mapping(raw: dict, name: str = "") -> ScenarioConfig:
         pois=tuple(pois),
         band=_band_from_mapping(_require(raw, "band", "config")),
         bias_model=bias_model,
-        nlos_probability=float(raw.get("nlos_probability", 0.0)),
-        schedule_period_s=float(raw.get("schedule_period_s", 0.010)),
-        trials_per_poi=int(raw.get("trials_per_poi", 50)),
-        root_seed=int(raw.get("root_seed", 20240601)),
+        nlos_probability=_number(raw.get("nlos_probability", 0.0), "nlos_probability"),
+        schedule_period_s=_number(
+            raw.get("schedule_period_s", 0.010), "schedule_period_s"
+        ),
+        trials_per_poi=_integer(raw.get("trials_per_poi", 50), "trials_per_poi"),
+        root_seed=_integer(raw.get("root_seed", 20240601), "root_seed"),
         solver=solver,
         irls=irls,
-        noise_override_m=None if noise_override is None else float(noise_override),
-        projected_3d=bool(raw.get("projected_3d", False)),
-        station_height_m=float(raw.get("station_height_m", 4.0)),
-        poi_height_m=float(raw.get("poi_height_m", 1.0)),
+        noise_override_m=(
+            None
+            if noise_override is None
+            else _number(noise_override, "noise_override_m")
+        ),
+        projected_3d=_flag(raw.get("projected_3d", False), "projected_3d"),
+        station_height_m=_number(raw.get("station_height_m", 4.0), "station_height_m"),
+        poi_height_m=_number(raw.get("poi_height_m", 1.0), "poi_height_m"),
         transmit_power_dbm=(
-            float(raw["transmit_power_dbm"]) if "transmit_power_dbm" in raw else None
+            _number(raw["transmit_power_dbm"], "transmit_power_dbm")
+            if "transmit_power_dbm" in raw
+            else None
         ),
         name=str(raw.get("name", name)),
     )

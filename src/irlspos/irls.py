@@ -8,6 +8,11 @@ reference's measured range differences, and the Andrews sine function maps
 uncertainties to weights, hard-rejecting any reference whose uncertainty
 exceeds ``u_max``. Candidates are solved once, before the loop; only the
 weights and the fused position update per iteration.
+
+Each epoch's range differences are formed once: every candidate carries the
+set it was solved from, and the loop reads its reference's coordinates and
+measured differences from those sets, resolved to plain coordinate tuples
+before the first iteration.
 """
 
 from __future__ import annotations
@@ -19,8 +24,15 @@ from typing import Mapping, Sequence
 from .channel import MeasurementSet
 from .errors import GeometryError
 from .geometry import BaseStation, Position2D, check_station_layout, euclidean_distance
-from .lsq import CandidateEstimate, SolverSettings, solve_all_references
-from .tdoa import RangeDifferenceSet, compute_tdoas, station_index
+from .lsq import (
+    CandidateEstimate,
+    ReferenceRows,
+    SolverSettings,
+    reference_rows,
+    residuals_at,
+    solve_all_references,
+)
+from .tdoa import compute_tdoas, station_index
 
 
 @dataclass(frozen=True)
@@ -49,7 +61,8 @@ class PositionEstimate:
     degenerate all-rejected case, where they are all zero, ``degenerate`` is
     set, and the position is the last fused estimate before rejection.
     ``final_step_m`` is the last computed step between successive fused
-    estimates (inf when the loop never completed a step).
+    estimates (inf when the loop never completed a step). ``candidates``
+    holds the per-reference solves, ascending by reference id.
     """
 
     position: Position2D
@@ -57,6 +70,7 @@ class PositionEstimate:
     iterations: int
     converged: bool
     final_step_m: float
+    candidates: tuple[CandidateEstimate, ...]
     degenerate: bool = False
 
     def rejected_station_ids(self) -> tuple[int, ...]:
@@ -80,18 +94,9 @@ def andrews_weight(u: float, u_max: float) -> float:
     return (u_max / (u * math.pi)) * math.sin(u * math.pi / u_max)
 
 
-def _uncertainty_from_rd(
-    rd: RangeDifferenceSet,
-    q_wa: Position2D,
-    index: Mapping[int, BaseStation],
-) -> float:
-    ref = index[rd.reference_id].position
-    dist_e = euclidean_distance(q_wa, ref)
-    terms = [
-        abs(dd - (euclidean_distance(q_wa, index[sid].position) - dist_e))
-        for sid, dd in rd.entries
-    ]
-    return math.fsum(terms) / len(terms)
+def _uncertainty(geometry: ReferenceRows, q_wa: Position2D) -> float:
+    residuals = residuals_at(q_wa.x, q_wa.y, geometry)
+    return math.fsum(abs(r) for r in residuals) / len(residuals)
 
 
 def uncertainty_factor(
@@ -109,7 +114,7 @@ def uncertainty_factor(
     if len(m.station_ids) < 2:
         raise GeometryError("uncertainty factor needs at least 2 stations")
     rd = compute_tdoas(m, reference_id)
-    return _uncertainty_from_rd(rd, q_wa, station_index(stations))
+    return _uncertainty(reference_rows(rd, station_index(stations)), q_wa)
 
 
 def weighted_average(
@@ -145,8 +150,8 @@ def irls_position(
     irls = irls or IrlsSettings()
     sts = check_station_layout(stations)
     index = station_index(sts)
-    candidates = solve_all_references(m, sts, ls)
-    rd_by_reference = {c.reference_id: compute_tdoas(m, c.reference_id) for c in candidates}
+    candidates = tuple(solve_all_references(m, sts, ls))
+    geometries = [reference_rows(c.range_differences, index) for c in candidates]
 
     n = len(candidates)
     q_wa = weighted_average(candidates, [1.0 / n] * n)
@@ -155,13 +160,7 @@ def irls_position(
     iterations = 0
     weights = [1.0 / n] * n
     for iterations in range(1, irls.max_iterations + 1):
-        raw = [
-            andrews_weight(
-                _uncertainty_from_rd(rd_by_reference[c.reference_id], q_wa, index),
-                irls.u_max_m,
-            )
-            for c in candidates
-        ]
+        raw = [andrews_weight(_uncertainty(g, q_wa), irls.u_max_m) for g in geometries]
         total = math.fsum(raw)
         if total == 0.0:
             return PositionEstimate(
@@ -170,6 +169,7 @@ def irls_position(
                 iterations=iterations,
                 converged=False,
                 final_step_m=step,
+                candidates=candidates,
                 degenerate=True,
             )
         weights = [w / total for w in raw]
@@ -186,4 +186,5 @@ def irls_position(
         iterations=iterations,
         converged=converged,
         final_step_m=step,
+        candidates=candidates,
     )

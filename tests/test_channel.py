@@ -1,10 +1,15 @@
 """Band noise model, raised-cosine pulse, waveform mode, and the emulator."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import irlspos
 from irlspos import (
     SPEED_OF_LIGHT_M_S,
     BandProfile,
@@ -339,3 +344,18 @@ def test_link_state_invariant():
         LinkState(1, is_los=True, nlos_bias_m=2.0)
     with pytest.raises(ConfigError, match="nlos_bias"):
         LinkState(1, is_los=False, nlos_bias_m=0.0)
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal takes over a second and ~75 MB to import; only the
+    # waveform matched filter needs it
+    src = str(Path(irlspos.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, irlspos; print('scipy.signal' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"

@@ -44,6 +44,14 @@ def test_validate_bad_config(tmp_path, capsys):
     assert "nlos_probability" in capsys.readouterr().err
 
 
+def test_negative_seed_exits_with_config_error(tmp_path, capsys):
+    path = write_small_scenario(tmp_path, root_seed=-1)
+    assert main(["validate", str(path)]) == EXIT_CONFIG
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert main(["run", "static_cband", "--out", str(tmp_path / "o"), "--seed", "-1"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.count("root_seed must be >= 0") == 3
+
+
 def test_validate_missing_file(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.yaml")]) == EXIT_CONFIG
     assert "not found" in capsys.readouterr().err

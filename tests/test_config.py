@@ -100,6 +100,19 @@ def test_snr_db_converts_to_linear():
         (lambda r: r["band"].__setitem__("bandwidth_hz", -1.0), "bandwidth_hz"),
         (lambda r: r["stations"][0].pop("x"), "stations"),
         (lambda r: r.__setitem__("schedule_period_s", -0.1), "schedule_period_s"),
+        # malformed scalars: never exit 1, never truncated
+        (lambda r: r.__setitem__("root_seed", -1), "root_seed"),
+        (lambda r: r.__setitem__("root_seed", True), "root_seed"),
+        (lambda r: r.__setitem__("nlos_probability", "abc"), "nlos_probability"),
+        (lambda r: r.__setitem__("trials_per_poi", 2.7), "trials_per_poi"),
+        (lambda r: r["stations"][0].__setitem__("id", 1.5), r"stations\[0\]\.id"),
+        (lambda r: r.__setitem__("station_height_m", float("nan")), "station_height_m"),
+        (lambda r: r["band"].__setitem__("snr_linear", "abc"), "snr_linear"),
+        (lambda r: r["band"].__setitem__("rolloff", [0.25]), "rolloff"),
+        (lambda r: r.__setitem__("bias_model", {"type": "exponential", "mean_m": "x"}), "mean_m"),
+        (lambda r: r.__setitem__("solver", 3), "solver"),
+        (lambda r: r["irls"].__setitem__("max_iterations", 2.5), "max_iterations"),
+        (lambda r: r.__setitem__("projected_3d", "yes"), "projected_3d"),
     ],
 )
 def test_field_specific_errors(mutate, message):
@@ -107,6 +120,16 @@ def test_field_specific_errors(mutate, message):
     mutate(raw)
     with pytest.raises(ConfigError, match=message):
         config_from_mapping(raw)
+
+
+def test_integral_floats_and_numeric_strings_are_accepted():
+    # YAML reads 1e-6 (no decimal point) as a string
+    raw = config_to_mapping(get_preset("static_cband"))
+    raw["trials_per_poi"] = 3.0
+    raw["solver"]["step_tolerance_m"] = "1e-6"
+    cfg = config_from_mapping(raw)
+    assert cfg.trials_per_poi == 3 and isinstance(cfg.trials_per_poi, int)
+    assert cfg.solver.step_tolerance_m == 1e-6
 
 
 def test_fixed_bias_model_requires_value():

@@ -164,9 +164,12 @@ def test_uncertainty_biased_reference_sees_full_bias(stations, band):
 
 def _cands_at(points):
     from irlspos.lsq import CandidateEstimate
+    from irlspos.tdoa import RangeDifferenceSet
 
     return [
-        CandidateEstimate(i + 1, Position2D(*p), 0.0, True, 1)
+        CandidateEstimate(
+            i + 1, Position2D(*p), 0.0, True, 1, RangeDifferenceSet(i + 1, ())
+        )
         for i, p in enumerate(points)
     ]
 

@@ -1,5 +1,7 @@
 """Gauss-Newton range-difference solver against independent oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,16 @@ from irlspos import (
     BaseStation,
     GeometryError,
     Position2D,
+    RangeDifferenceSet,
     SolverSettings,
     euclidean_distance,
     ls_objective,
     solve_all_references,
     solve_single_reference,
 )
-from irlspos.lsq import residual_vector_and_jacobian
+from irlspos.geometry import check_station_layout, station_bounding_box
+from irlspos.harness import emulate_trial_measurements
+from irlspos.presets import PRESET_NAMES, get_preset
 from irlspos.tdoa import compute_tdoas
 from conftest import AOI_H, AOI_W, exact_measurements
 
@@ -32,6 +37,162 @@ def grid_search_minimum(rd, stations, step=0.01, x_max=AOI_W, y_max=AOI_H):
         total += (dd - (np.hypot(X - q.x, Y - q.y) - dist_e)) ** 2
     i = np.unravel_index(np.argmin(total), total.shape)
     return Position2D(float(X[i]), float(Y[i])), float(total[i])
+
+
+# --- array oracle: the solver loop as first written, on np.linalg.lstsq -----------
+
+def residual_vector_and_jacobian(p, rd, stations):
+    """Residuals r_n = delta_d_n - (||p - q_n|| - ||p - q_e||) and dr/dp.
+
+    The Jacobian row for station n is -((p - q_n)/||p - q_n|| -
+    (p - q_e)/||p - q_e||); it is undefined when p coincides with a station.
+    """
+    index = {s.id: s for s in stations}
+    coords = np.array(
+        [(index[sid].position.x, index[sid].position.y) for sid in rd.station_ids]
+    )
+    deltas = np.array([dd for _, dd in rd.entries])
+    ref = index[rd.reference_id].position
+    pt = np.array([p.x, p.y])
+    diff_n = pt - coords
+    dist_n = np.hypot(diff_n[:, 0], diff_n[:, 1])
+    diff_e = pt - np.array([ref.x, ref.y])
+    dist_e = math.hypot(diff_e[0], diff_e[1])
+    if dist_e == 0.0 or np.any(dist_n == 0.0):
+        raise ZeroDivisionError("position coincides with a station; Jacobian undefined")
+    residuals = deltas - (dist_n - dist_e)
+    jac = -(diff_n / dist_n[:, None] - diff_e / dist_e)
+    return residuals, jac
+
+
+def lstsq_oracle(rd, stations, settings=None):
+    """(position, converged, iterations) of the guarded Gauss-Newton loop with
+    each step from np.linalg.lstsq on the 3x2 (N-1 x 2) system."""
+    settings = settings or SolverSettings()
+    sts = check_station_layout(stations)
+    min_x, min_y, max_x, max_y = station_bounding_box(sts)
+    diag = math.hypot(max_x - min_x, max_y - min_y)
+    lo = np.array([min_x - settings.bounds_margin_m, min_y - settings.bounds_margin_m])
+    hi = np.array([max_x + settings.bounds_margin_m, max_y + settings.bounds_margin_m])
+    if settings.initial_guess is not None:
+        p = np.array([settings.initial_guess.x, settings.initial_guess.y])
+    else:
+        p = np.array(
+            [
+                sum(s.position.x for s in sts) / len(sts),
+                sum(s.position.y for s in sts) / len(sts),
+            ]
+        )
+    station_coords = np.array([(s.position.x, s.position.y) for s in sts])
+    converged = False
+    iterations = 0
+    for iterations in range(1, settings.max_iterations + 1):
+        if np.any(np.hypot(*(p - station_coords).T) < 1e-12):
+            p = p + np.array([settings.step_tolerance_m, 0.0])
+        try:
+            residuals, jac = residual_vector_and_jacobian(
+                Position2D(p[0], p[1]), rd, sts
+            )
+            step, *_ = np.linalg.lstsq(jac, -residuals, rcond=None)
+        except (ZeroDivisionError, np.linalg.LinAlgError):
+            break
+        step_norm = float(np.hypot(step[0], step[1]))
+        while np.hypot(step[0], step[1]) > diag:
+            step = step / 2.0
+        p = np.clip(p + step, lo, hi)
+        if step_norm < settings.step_tolerance_m:
+            converged = True
+            break
+    return Position2D(float(p[0]), float(p[1])), converged, iterations
+
+
+@pytest.fixture
+def lstsq_calls(monkeypatch):
+    """Counts calls to np.linalg.lstsq while the count is switched on."""
+    original = np.linalg.lstsq
+    calls = {"on": False, "count": 0}
+
+    def counting(*args, **kwargs):
+        calls["count"] += calls["on"]
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    return calls
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_candidates_match_lstsq_oracle_on_presets(preset, lstsq_calls):
+    # every candidate of the preset's first 5 trials per PoI; all of them are
+    # well conditioned, so the closed-form step is the one under test
+    cfg = get_preset(preset).with_overrides(trials_per_poi=5)
+    stations = sorted(cfg.stations, key=lambda s: s.id)
+    solves = 0
+    for poi_index in range(len(cfg.pois)):
+        for trial_index in range(cfg.trials_per_poi):
+            m, _ = emulate_trial_measurements(cfg, poi_index, trial_index)
+            lstsq_calls["on"] = True
+            candidates = solve_all_references(m, stations, cfg.solver)
+            lstsq_calls["on"] = False
+            for c in candidates:
+                assert c.range_differences == compute_tdoas(m, c.reference_id)
+                position, converged, iterations = lstsq_oracle(
+                    c.range_differences, stations, cfg.solver
+                )
+                assert euclidean_distance(c.position, position) < 1e-9
+                assert (c.converged, c.iterations_used) == (converged, iterations)
+                solves += 1
+    assert solves == len(cfg.pois) * 5 * len(stations)
+    assert lstsq_calls["count"] == 0
+
+
+# at (-0.5, 0) the unit vectors to stations 1 and 2 coincide, so the
+# station-2 Jacobian row is zero and det(J^T J) = 0; at (-0.5, 1e-4) that row
+# is nearly zero and det / trace^2 is 9e-9, and the first step is ~5e4 m long
+ILL_POSED_STATIONS = [
+    BaseStation(1, Position2D(0.0, 0.0)),
+    BaseStation(2, Position2D(10.0, 0.0)),
+    BaseStation(3, Position2D(0.0, 10.0)),
+]
+ILL_POSED_RD = RangeDifferenceSet(reference_id=1, entries=((2, 3.0), (3, 1.0)))
+
+
+@pytest.mark.parametrize(
+    "start,expected",
+    [
+        ((-0.5, 0.0), (Position2D(2.9552991172621, 4.4184330390874), 6)),
+        ((-0.5, 1e-4), None),
+    ],
+)
+def test_singular_or_ill_conditioned_step_falls_back_to_lstsq(
+    start, expected, lstsq_calls
+):
+    settings = SolverSettings(initial_guess=Position2D(*start))
+    lstsq_calls["on"] = True
+    cand = solve_single_reference(ILL_POSED_RD, ILL_POSED_STATIONS, settings)
+    lstsq_calls["on"] = False
+    assert lstsq_calls["count"] >= 1
+    position, converged, iterations = lstsq_oracle(
+        ILL_POSED_RD, ILL_POSED_STATIONS, settings
+    )
+    assert euclidean_distance(cand.position, position) < 1e-9
+    assert (cand.converged, cand.iterations_used) == (converged, iterations)
+    assert cand.converged
+    if expected is not None:
+        assert euclidean_distance(cand.position, expected[0]) < 1e-9
+        assert cand.iterations_used == expected[1]
+
+
+def test_start_on_a_station_is_nudged():
+    # the Jacobian is undefined on station 2; without the nudge the solve
+    # would stop there after one iteration
+    settings = SolverSettings(initial_guess=Position2D(10.0, 0.0))
+    cand = solve_single_reference(ILL_POSED_RD, ILL_POSED_STATIONS, settings)
+    position, converged, iterations = lstsq_oracle(
+        ILL_POSED_RD, ILL_POSED_STATIONS, settings
+    )
+    assert euclidean_distance(cand.position, position) < 1e-9
+    assert (cand.converged, cand.iterations_used) == (converged, iterations)
+    assert cand.converged and cand.iterations_used > 1
 
 
 # --- objective ------------------------------------------------------------------
