@@ -100,22 +100,60 @@ def test_snr_db_converts_to_linear():
         (lambda r: r["band"].__setitem__("bandwidth_hz", -1.0), "bandwidth_hz"),
         (lambda r: r["stations"][0].pop("x"), "stations"),
         (lambda r: r.__setitem__("schedule_period_s", -0.1), "schedule_period_s"),
-        # malformed scalars: never exit 1, never truncated
-        (lambda r: r.__setitem__("root_seed", -1), "root_seed"),
-        (lambda r: r.__setitem__("root_seed", True), "root_seed"),
-        (lambda r: r.__setitem__("nlos_probability", "abc"), "nlos_probability"),
-        (lambda r: r.__setitem__("trials_per_poi", 2.7), "trials_per_poi"),
-        (lambda r: r["stations"][0].__setitem__("id", 1.5), r"stations\[0\]\.id"),
-        (lambda r: r.__setitem__("station_height_m", float("nan")), "station_height_m"),
-        (lambda r: r["band"].__setitem__("snr_linear", "abc"), "snr_linear"),
-        (lambda r: r["band"].__setitem__("rolloff", [0.25]), "rolloff"),
-        (lambda r: r.__setitem__("bias_model", {"type": "exponential", "mean_m": "x"}), "mean_m"),
-        (lambda r: r.__setitem__("solver", 3), "solver"),
-        (lambda r: r["irls"].__setitem__("max_iterations", 2.5), "max_iterations"),
-        (lambda r: r.__setitem__("projected_3d", "yes"), "projected_3d"),
     ],
 )
 def test_field_specific_errors(mutate, message):
+    raw = config_to_mapping(get_preset("static_cband"))
+    mutate(raw)
+    with pytest.raises(ConfigError, match=message):
+        config_from_mapping(raw)
+
+
+# malformed scalars: never exit 1, never truncated
+@pytest.mark.parametrize(
+    "mutate,message",
+    [
+        pytest.param(lambda r: r.__setitem__("root_seed", -1), "root_seed", id="negative-seed"),
+        pytest.param(lambda r: r.__setitem__("root_seed", True), "root_seed", id="bool-seed"),
+        pytest.param(
+            lambda r: r.__setitem__("nlos_probability", "abc"),
+            "nlos_probability",
+            id="text-probability",
+        ),
+        pytest.param(
+            lambda r: r.__setitem__("trials_per_poi", 2.7), "trials_per_poi", id="fractional-trials"
+        ),
+        pytest.param(
+            lambda r: r["stations"][0].__setitem__("id", 1.5),
+            r"stations\[0\]\.id",
+            id="fractional-station-id",
+        ),
+        pytest.param(
+            lambda r: r.__setitem__("station_height_m", float("nan")),
+            "station_height_m",
+            id="nan-height",
+        ),
+        pytest.param(
+            lambda r: r["band"].__setitem__("snr_linear", "abc"), "snr_linear", id="text-snr"
+        ),
+        pytest.param(lambda r: r["band"].__setitem__("rolloff", [0.25]), "rolloff", id="list-rolloff"),
+        pytest.param(
+            lambda r: r.__setitem__("bias_model", {"type": "exponential", "mean_m": "x"}),
+            "mean_m",
+            id="text-bias-mean",
+        ),
+        pytest.param(lambda r: r.__setitem__("solver", 3), "solver", id="scalar-solver"),
+        pytest.param(
+            lambda r: r["irls"].__setitem__("max_iterations", 2.5),
+            "max_iterations",
+            id="fractional-max-iterations",
+        ),
+        pytest.param(
+            lambda r: r.__setitem__("projected_3d", "yes"), "projected_3d", id="text-projected-3d"
+        ),
+    ],
+)
+def test_malformed_scalars_are_config_errors(mutate, message):
     raw = config_to_mapping(get_preset("static_cband"))
     mutate(raw)
     with pytest.raises(ConfigError, match=message):
