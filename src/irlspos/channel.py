@@ -22,7 +22,6 @@ station clocks are assumed synchronized.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -143,7 +142,7 @@ class MeasurementSet:
     ``samples`` holds one ``(station_id, measured_toa_s)`` pair per station,
     ascending by id. Timestamps are arrival times on the UE clock and include
     the transmit stagger ``(id - min_id) * schedule_period_s``; the pairwise
-    offsets exposed by :meth:`transmission_offsets` are what the TDoA stage
+    offsets given by :meth:`transmission_offset` are what the TDoA stage
     subtracts.
     """
 
@@ -181,20 +180,6 @@ class MeasurementSet:
     def transmission_offset(self, n: int, e: int) -> float:
         """Transmit-time offset delta_ne = (n - e) * schedule period, seconds."""
         return (n - e) * self.schedule_period_s
-
-    @property
-    def transmission_offsets(self) -> dict[tuple[int, int], float]:
-        ids = self.station_ids
-        return {
-            (n, e): self.transmission_offset(n, e) for n in ids for e in ids if n != e
-        }
-
-    def fingerprint(self) -> str:
-        """Content hash; identical sets (bit for bit) share a fingerprint."""
-        text = "|".join(
-            f"{sid}:{toa.hex()}" for sid, toa in self.samples
-        ) + f"|{self.epoch_id}|{self.schedule_period_s.hex()}"
-        return hashlib.sha256(text.encode()).hexdigest()
 
 
 def toa_noise_std(band: BandProfile) -> float:

@@ -41,7 +41,13 @@ import yaml
 
 from .channel import BandProfile
 from .errors import ConfigError, GeometryError
-from .geometry import MIN_STATIONS, BaseStation, Position2D, check_station_layout
+from .geometry import (
+    MIN_STATIONS,
+    BaseStation,
+    Position2D,
+    check_station_layout,
+    station_bounding_box,
+)
 from .irls import IrlsSettings
 from .lsq import SolverSettings
 
@@ -105,6 +111,19 @@ class ScenarioConfig:
             raise ConfigError(f"stations: {exc}") from exc
         if len(self.pois) < 1:
             raise ConfigError("pois: need at least one point of interest")
+        # every solver iterate is clamped to this box, so a PoI outside it
+        # could never be estimated
+        min_x, min_y, max_x, max_y = station_bounding_box(self.stations)
+        margin = self.solver.bounds_margin_m
+        lo_x, lo_y, hi_x, hi_y = min_x - margin, min_y - margin, max_x + margin, max_y + margin
+        for i, p in enumerate(self.pois):
+            if not (lo_x <= p.x <= hi_x and lo_y <= p.y <= hi_y):
+                raise ConfigError(
+                    f"pois[{i}]: ({p.x!r}, {p.y!r}) lies outside the solve box "
+                    f"x in [{lo_x!r}, {hi_x!r}], y in [{lo_y!r}, {hi_y!r}] "
+                    f"(station bounding box plus solver.bounds_margin_m), "
+                    f"where the solver cannot reach it"
+                )
         if not 0.0 <= self.nlos_probability <= 1.0:
             raise ConfigError(
                 f"nlos_probability must be in [0, 1], got {self.nlos_probability!r}"

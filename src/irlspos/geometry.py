@@ -30,9 +30,6 @@ class Position2D:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"coordinates must be finite, got ({self.x}, {self.y})")
 
-    def translated(self, dx: float, dy: float) -> "Position2D":
-        return Position2D(self.x + dx, self.y + dy)
-
 
 @dataclass(frozen=True)
 class BaseStation:

@@ -19,6 +19,16 @@ the objective can lose its finite minimizer along a hyperbola asymptote:
 * an iterate landing exactly on a station (undefined Jacobian) is nudged
   by one step tolerance along +x.
 
+Once the clip has acted, a solve can end pinned to the box edge, where the
+raw step never falls under the tolerance and the loop would run to its
+iteration cap. One iteration maps the iterate (x, y) to the next through the
+nudge, the step, the halving and the clip, and depends on nothing else. So
+once an iterate repeats, every later one repeats with the same period, and
+the iterate at the cap is known. The loop records iterates from the first
+clip on and returns that iterate as soon as one repeats: the result equals,
+bit for bit, the one the capped loop would return. A cycle it does not
+notice only costs time.
+
 Each candidate carries the range differences it was solved from, so the
 reweighting stage reuses them instead of forming them again.
 """
@@ -168,7 +178,11 @@ def solve_single_reference(
 
     Returns the last iterate regardless of convergence; ``converged`` is
     True iff the raw Gauss-Newton step norm fell below the step tolerance
-    within the iteration budget.
+    within the iteration budget. A solve whose iterates cycle on the box
+    edge stops at the first repeat and returns the iterate the loop would
+    reach at ``max_iterations``; ``iterations_used`` then reads
+    ``max_iterations``, the iterations that iterate stands for, not the
+    steps taken.
     """
     settings = settings or SolverSettings()
     sts = check_station_layout(stations)
@@ -190,7 +204,11 @@ def solve_single_reference(
 
     converged = False
     iterations = 0
-    for iterations in range(1, settings.max_iterations + 1):
+    cap = settings.max_iterations
+    # once the clip has acted: each iterate since then, in order, with the
+    # iteration that first produced it
+    first_seen: dict[tuple[float, float], int] | None = None
+    for iterations in range(1, cap + 1):
         # nudge off any station position, where the Jacobian is undefined
         for sx, sy in station_xy:
             if math.hypot(x - sx, y - sy) < 1e-12:
@@ -204,10 +222,22 @@ def solve_single_reference(
         while math.hypot(step_x, step_y) > diag:
             step_x /= 2.0
             step_y /= 2.0
-        x = min(max(x + step_x, lo_x), hi_x)
-        y = min(max(y + step_y, lo_y), hi_y)
+        free_x, free_y = x + step_x, y + step_y
+        x = min(max(free_x, lo_x), hi_x)
+        y = min(max(free_y, lo_y), hi_y)
         if step_norm < tolerance:
             converged = True
+            break
+        if first_seen is None:
+            if x == free_x and y == free_y:
+                continue
+            first_seen = {}
+        first = first_seen.setdefault((x, y), iterations)
+        if first < iterations:
+            # iterate `first` repeats, so the iterates cycle from there on
+            period = iterations - first
+            x, y = list(first_seen)[len(first_seen) - period + (cap - first) % period]
+            iterations = cap
             break
 
     residuals = residuals_at(x, y, geometry)

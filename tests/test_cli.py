@@ -52,6 +52,14 @@ def test_negative_seed_exits_with_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.count("root_seed must be >= 0") == 3
 
 
+def test_unreachable_poi_exits_with_config_error(tmp_path, capsys):
+    path = write_small_scenario(tmp_path, pois=[{"x": 1e6, "y": 1e6}])
+    assert main(["validate", str(path)]) == EXIT_CONFIG
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.count("outside the solve box") == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_missing_file(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.yaml")]) == EXIT_CONFIG
     assert "not found" in capsys.readouterr().err

@@ -1,9 +1,11 @@
 """Scenario schema, presets, and YAML loading."""
 
+from dataclasses import replace
+
 import yaml
 import pytest
 
-from irlspos import ConfigError, load_config
+from irlspos import ConfigError, Position2D, SolverSettings, load_config
 from irlspos.config import config_from_mapping, config_to_mapping
 from irlspos.presets import PRESET_NAMES, get_preset
 
@@ -168,6 +170,28 @@ def test_integral_floats_and_numeric_strings_are_accepted():
     cfg = config_from_mapping(raw)
     assert cfg.trials_per_poi == 3 and isinstance(cfg.trials_per_poi, int)
     assert cfg.solver.step_tolerance_m == 1e-6
+
+
+# the preset's stations span [0, 29] x [0, 25] and bounds_margin_m is 1, so
+# every solver iterate is clamped to [-1, 30] x [-1, 26]
+@pytest.mark.parametrize(
+    "x,y",
+    [(1e6, 1e6), (30.000001, 12.0), (12.0, -1.000001), (-5.0, 26.5)],
+)
+def test_poi_outside_the_solve_box_is_rejected(x, y):
+    raw = config_to_mapping(get_preset("static_cband"))
+    raw["pois"][2] = {"x": x, "y": y}
+    with pytest.raises(ConfigError, match=r"pois\[2\].*outside the solve box.*\[-1\.0, 30\.0\]"):
+        config_from_mapping(raw)
+
+
+def test_poi_on_the_solve_box_edge_is_valid():
+    cfg = get_preset("static_cband")
+    corners = (Position2D(-1.0, -1.0), Position2D(30.0, 26.0))
+    assert replace(cfg, pois=corners).pois == corners
+    # the box follows the solver margin
+    with pytest.raises(ConfigError, match=r"pois\[0\]"):
+        replace(cfg, pois=corners, solver=SolverSettings(bounds_margin_m=0.5))
 
 
 def test_fixed_bias_model_requires_value():

@@ -23,6 +23,7 @@ from irlspos.harness import (
 )
 from irlspos.presets import get_preset
 from irlspos.tdoa import compute_tdoas
+from conftest import fingerprint
 
 
 def small_config(**overrides):
@@ -92,7 +93,7 @@ def test_both_methods_consume_identical_measurements():
     cfg = small_config(nlos_probability=0.5)
     m1, _ = emulate_trial_measurements(cfg, 1, 0)
     m2, _ = emulate_trial_measurements(cfg, 1, 0)
-    assert m1.fingerprint() == m2.fingerprint()
+    assert fingerprint(m1) == fingerprint(m2)
 
     # the batch errors must be reproducible from that single measurement set
     batch = run_batch(cfg)

@@ -1,9 +1,12 @@
 """Gauss-Newton range-difference solver against independent oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from irlspos import (
     BaseStation,
@@ -16,11 +19,13 @@ from irlspos import (
     solve_all_references,
     solve_single_reference,
 )
+from irlspos import lsq
 from irlspos.geometry import check_station_layout, station_bounding_box
-from irlspos.harness import emulate_trial_measurements
+from irlspos.harness import emulate_trial_measurements, run_batch
+from irlspos.lsq import _gauss_newton_step, reference_rows
 from irlspos.presets import PRESET_NAMES, get_preset
-from irlspos.tdoa import compute_tdoas
-from conftest import AOI_H, AOI_W, exact_measurements
+from irlspos.tdoa import compute_tdoas, station_index
+from conftest import AOI_H, AOI_W, exact_measurements, translated
 
 
 def grid_search_minimum(rd, stations, step=0.01, x_max=AOI_W, y_max=AOI_H):
@@ -65,9 +70,27 @@ def residual_vector_and_jacobian(p, rd, stations):
     return residuals, jac
 
 
-def lstsq_oracle(rd, stations, settings=None):
-    """(position, converged, iterations) of the guarded Gauss-Newton loop with
-    each step from np.linalg.lstsq on the 3x2 (N-1 x 2) system."""
+def lstsq_step(p, rd, stations):
+    """The Gauss-Newton step from np.linalg.lstsq on the (N-1) x 2 system;
+    None where the Jacobian is undefined or lstsq fails."""
+    try:
+        residuals, jac = residual_vector_and_jacobian(Position2D(p[0], p[1]), rd, stations)
+        step, *_ = np.linalg.lstsq(jac, -residuals, rcond=None)
+    except (ZeroDivisionError, np.linalg.LinAlgError):
+        return None
+    return step
+
+
+def closed_form_step(p, rd, stations):
+    """The solver's own step arithmetic, for bit-for-bit loop comparisons."""
+    geometry = reference_rows(rd, station_index(stations))
+    step = _gauss_newton_step(float(p[0]), float(p[1]), geometry)
+    return None if step is None else np.array(step)
+
+
+def lstsq_oracle(rd, stations, settings=None, step_fn=lstsq_step):
+    """(position, converged, iterations) of the guarded Gauss-Newton loop,
+    run to the cap without an early exit, with each step from ``step_fn``."""
     settings = settings or SolverSettings()
     sts = check_station_layout(stations)
     min_x, min_y, max_x, max_y = station_bounding_box(sts)
@@ -89,12 +112,8 @@ def lstsq_oracle(rd, stations, settings=None):
     for iterations in range(1, settings.max_iterations + 1):
         if np.any(np.hypot(*(p - station_coords).T) < 1e-12):
             p = p + np.array([settings.step_tolerance_m, 0.0])
-        try:
-            residuals, jac = residual_vector_and_jacobian(
-                Position2D(p[0], p[1]), rd, sts
-            )
-            step, *_ = np.linalg.lstsq(jac, -residuals, rcond=None)
-        except (ZeroDivisionError, np.linalg.LinAlgError):
+        step = step_fn(p, rd, sts)
+        if step is None:
             break
         step_norm = float(np.hypot(step[0], step[1]))
         while np.hypot(step[0], step[1]) > diag:
@@ -193,6 +212,111 @@ def test_start_on_a_station_is_nudged():
     assert euclidean_distance(cand.position, position) < 1e-9
     assert (cand.converged, cand.iterations_used) == (converged, iterations)
     assert cand.converged and cand.iterations_used > 1
+
+
+# --- solves pinned to the box edge -------------------------------------------------
+
+@pytest.fixture
+def gn_steps(monkeypatch):
+    """Counts the Gauss-Newton steps the solver computes."""
+    calls = {"count": 0}
+
+    def counting(*args):
+        calls["count"] += 1
+        return _gauss_newton_step(*args)
+
+    monkeypatch.setattr(lsq, "_gauss_newton_step", counting)
+    return calls
+
+
+# (PoI, trial, reference) of semidynamic_cband at its default seed whose
+# solve ends on the box edge, and the period its iterates settle into there
+@pytest.mark.parametrize(
+    "poi,trial,reference,period",
+    [
+        pytest.param(0, 3, 1, 1, id="fixed-point"),
+        pytest.param(0, 5, 2, 2, id="period-2"),
+        pytest.param(0, 42, 2, 5, id="period-5"),
+    ],
+)
+def test_pinned_solve_exits_at_first_repeat(poi, trial, reference, period, gn_steps):
+    cfg = get_preset("semidynamic_cband")
+    stations = sorted(cfg.stations, key=lambda s: s.id)
+    m, _ = emulate_trial_measurements(cfg, poi, trial)
+    rd = compute_tdoas(m, reference)
+    cap = cfg.solver.max_iterations
+
+    cand = solve_single_reference(rd, stations, cfg.solver)
+    assert gn_steps["count"] < cap
+
+    position, converged, iterations = lstsq_oracle(rd, stations, cfg.solver, closed_form_step)
+    assert (cand.position, cand.converged, cand.iterations_used) == (position, False, cap)
+    assert (converged, iterations) == (False, cap)
+    x, y = cand.position.x, cand.position.y
+    assert x in (-1.0, 30.0) or y in (-1.0, 26.0)
+    # the capped loop's last iterates repeat with exactly this period
+    earlier = [
+        lstsq_oracle(rd, stations, replace(cfg.solver, max_iterations=cap - k), closed_form_step)[0]
+        for k in range(1, period + 1)
+    ]
+    assert earlier[-1] == position
+    assert all(p != position for p in earlier[:-1])
+
+
+# run to the cap, semidynamic_cband's 165 pinned solves would bring its count
+# to 35,010; each stops at its first repeated iterate, by iteration 31 at most
+@pytest.mark.parametrize(
+    "preset,steps", [("static_cband", 20_649), ("semidynamic_cband", 28_840)]
+)
+def test_gauss_newton_steps_per_batch(preset, steps, gn_steps):
+    run_batch(get_preset(preset))
+    assert gn_steps["count"] == steps
+
+
+COORD = st.floats(0.0, 40.0)
+
+
+@st.composite
+def biased_layouts(draw):
+    """3-8 stations, at least 1 m apart and not all collinear, a reference,
+    and range differences from a UE inside their bounding box with one
+    station's range biased by 5-20 m."""
+    points = draw(st.lists(st.tuples(COORD, COORD), min_size=3, max_size=8))
+    stations = [BaseStation(i + 1, Position2D(x, y)) for i, (x, y) in enumerate(points)]
+    assume(
+        all(
+            euclidean_distance(a.position, b.position) >= 1.0
+            for i, a in enumerate(stations)
+            for b in stations[i + 1 :]
+        )
+    )
+    try:
+        check_station_layout(stations)
+    except GeometryError:
+        assume(False)
+    min_x, min_y, max_x, max_y = station_bounding_box(stations)
+    ue = Position2D(draw(st.floats(min_x, max_x)), draw(st.floats(min_y, max_y)))
+    ids = [s.id for s in stations]
+    biased = draw(st.sampled_from(ids))
+    bias = draw(st.floats(5.0, 20.0))
+    ranges = {
+        s.id: euclidean_distance(ue, s.position) + (bias if s.id == biased else 0.0)
+        for s in stations
+    }
+    reference = draw(st.sampled_from(ids))
+    entries = tuple((sid, ranges[sid] - ranges[reference]) for sid in ids if sid != reference)
+    return RangeDifferenceSet(reference, entries), stations
+
+
+@settings(max_examples=300)
+@given(biased_layouts())
+def test_solver_equals_capped_loop_on_biased_layouts(case):
+    # same step arithmetic, so the early exit must not change a single bit
+    rd, stations = case
+    cand = solve_single_reference(rd, stations)
+    position, converged, iterations = lstsq_oracle(rd, stations, step_fn=closed_form_step)
+    assert cand.position == position
+    assert (cand.converged, cand.iterations_used) == (converged, iterations)
 
 
 # --- objective ------------------------------------------------------------------
@@ -345,10 +469,10 @@ def test_translation_equivariance(stations, band):
     ue = Position2D(6.0, 19.0)
     shift = (137.25, -64.5)
     moved_stations = [
-        BaseStation(s.id, s.position.translated(*shift)) for s in stations
+        BaseStation(s.id, translated(s.position, *shift)) for s in stations
     ]
     m = exact_measurements(ue, stations, band)
-    m_shifted = exact_measurements(ue.translated(*shift), moved_stations, band)
+    m_shifted = exact_measurements(translated(ue, *shift), moved_stations, band)
     for c, cs in zip(
         solve_all_references(m, stations),
         solve_all_references(m_shifted, moved_stations),
