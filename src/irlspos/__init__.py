@@ -38,18 +38,16 @@ from .irls import (
     PositionEstimate,
     andrews_weight,
     irls_position,
-    uncertainty_factor,
     weighted_average,
 )
 from .lsq import (
     CandidateEstimate,
     SolverSettings,
-    ls_objective,
     solve_all_references,
     solve_single_reference,
 )
 from .presets import PRESET_NAMES, get_preset
-from .tdoa import RangeDifferenceSet, compute_tdoas, predicted_range_difference
+from .tdoa import RangeDifferenceSet, compute_tdoas
 
 __version__ = "0.1.0"
 
@@ -84,9 +82,7 @@ __all__ = [
     "get_preset",
     "irls_position",
     "load_config",
-    "ls_objective",
     "make_multipath_components",
-    "predicted_range_difference",
     "raised_cosine_pulse",
     "run_batch",
     "solve_all_references",
@@ -95,7 +91,6 @@ __all__ = [
     "synthesize_received_waveform",
     "toa_noise_std",
     "true_first_toa",
-    "uncertainty_factor",
     "waveform_noise_std",
     "weighted_average",
 ]

@@ -34,6 +34,7 @@ from .geometry import (
     BaseStation,
     Position2D,
     euclidean_distance,
+    is_int,
     sorted_stations,
 )
 
@@ -153,9 +154,10 @@ class MeasurementSet:
     def __post_init__(self) -> None:
         if len(self.samples) < 1:
             raise ConfigError("measurement set has no samples")
-        ordered = tuple(
-            sorted(((int(sid), float(toa)) for sid, toa in self.samples))
-        )
+        for sid, _ in self.samples:
+            if not is_int(sid):
+                raise ConfigError(f"station id must be an integer, got {sid!r}")
+        ordered = tuple(sorted((sid, float(toa)) for sid, toa in self.samples))
         object.__setattr__(self, "samples", ordered)
         object.__setattr__(self, "schedule_period_s", float(self.schedule_period_s))
         ids = [sid for sid, _ in ordered]

@@ -41,13 +41,7 @@ import yaml
 
 from .channel import BandProfile
 from .errors import ConfigError, GeometryError
-from .geometry import (
-    MIN_STATIONS,
-    BaseStation,
-    Position2D,
-    check_station_layout,
-    station_bounding_box,
-)
+from .geometry import BaseStation, Position2D, check_station_layout, is_int
 from .irls import IrlsSettings
 from .lsq import SolverSettings
 
@@ -106,16 +100,14 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         try:
-            check_station_layout(self.stations, MIN_STATIONS)
+            layout = check_station_layout(self.stations)
         except GeometryError as exc:
             raise ConfigError(f"stations: {exc}") from exc
         if len(self.pois) < 1:
             raise ConfigError("pois: need at least one point of interest")
         # every solver iterate is clamped to this box, so a PoI outside it
         # could never be estimated
-        min_x, min_y, max_x, max_y = station_bounding_box(self.stations)
-        margin = self.solver.bounds_margin_m
-        lo_x, lo_y, hi_x, hi_y = min_x - margin, min_y - margin, max_x + margin, max_y + margin
+        lo_x, lo_y, hi_x, hi_y = layout.solve_box(self.solver.bounds_margin_m)
         for i, p in enumerate(self.pois):
             if not (lo_x <= p.x <= hi_x and lo_y <= p.y <= hi_y):
                 raise ConfigError(
@@ -130,6 +122,9 @@ class ScenarioConfig:
             )
         if self.schedule_period_s < 0 or not math.isfinite(self.schedule_period_s):
             raise ConfigError(f"schedule_period_s must be >= 0, got {self.schedule_period_s!r}")
+        for name in ("trials_per_poi", "root_seed"):
+            if not is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.trials_per_poi < 1:
             raise ConfigError(f"trials_per_poi must be >= 1, got {self.trials_per_poi!r}")
         if self.root_seed < 0:

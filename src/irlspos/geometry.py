@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import GeometryError
 
@@ -39,7 +39,7 @@ class BaseStation:
     position: Position2D
 
     def __post_init__(self) -> None:
-        if not isinstance(self.id, int) or isinstance(self.id, bool):
+        if not is_int(self.id):
             raise ValueError(f"station id must be an integer, got {self.id!r}")
 
 
@@ -53,31 +53,56 @@ def true_first_toa(ue: Position2D, bs: BaseStation) -> float:
     return euclidean_distance(ue, bs.position) / SPEED_OF_LIGHT_M_S
 
 
+def is_int(value: object) -> bool:
+    """True for an int that is not a bool: the rule for station ids and counts."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def sorted_stations(stations: Iterable[BaseStation]) -> list[BaseStation]:
     """Stations in ascending id order; the canonical iteration order everywhere."""
     return sorted(stations, key=lambda s: s.id)
 
 
-def check_station_layout(
-    stations: Sequence[BaseStation], min_count: int = MIN_STATIONS
-) -> list[BaseStation]:
-    """Validate a station layout for positioning and return it sorted by id.
+@dataclass(frozen=True)
+class StationLayout:
+    """A checked layout: ``stations`` by ascending id, ``positions`` by id in
+    that order, ``box`` = (min_x, min_y, max_x, max_y). Only
+    :func:`check_station_layout` builds one, so holding one means the check ran."""
 
-    Raises GeometryError when there are fewer than ``min_count`` stations,
-    when ids repeat, or when all stations are collinear (a collinear layout
-    leaves the fix ambiguous across the line of anchors).
+    stations: tuple[BaseStation, ...]
+    positions: Mapping[int, Position2D]
+    box: tuple[float, float, float, float]
+
+    def solve_box(self, margin: float) -> tuple[float, float, float, float]:
+        """(lo_x, lo_y, hi_x, hi_y): the box widened by ``margin`` meters."""
+        min_x, min_y, max_x, max_y = self.box
+        return min_x - margin, min_y - margin, max_x + margin, max_y + margin
+
+
+def check_station_layout(
+    stations: Iterable[BaseStation] | StationLayout,
+) -> StationLayout:
+    """Validate a station layout for positioning; a layout passes through.
+
+    Raises GeometryError when there are fewer than ``MIN_STATIONS``
+    stations, when ids repeat, or when all stations are collinear (a
+    collinear layout leaves the fix ambiguous across the line of anchors).
     """
-    sts = sorted_stations(stations)
-    if len(sts) < min_count:
+    if isinstance(stations, StationLayout):
+        return stations
+    sts = tuple(sorted_stations(stations))
+    if len(sts) < MIN_STATIONS:
         raise GeometryError(
-            f"under-determined geometry: need at least {min_count} stations, got {len(sts)}"
+            f"under-determined geometry: need at least {MIN_STATIONS} stations, got {len(sts)}"
         )
-    ids = [s.id for s in sts]
-    if len(set(ids)) != len(ids):
-        raise GeometryError(f"station ids must be unique, got {ids}")
+    positions = {s.id: s.position for s in sts}
+    if len(positions) != len(sts):
+        raise GeometryError(f"station ids must be unique, got {[s.id for s in sts]}")
     if _all_collinear(sts):
         raise GeometryError("stations are collinear; 2D position is not solvable")
-    return sts
+    xs = [p.x for p in positions.values()]
+    ys = [p.y for p in positions.values()]
+    return StationLayout(sts, positions, (min(xs), min(ys), max(xs), max(ys)))
 
 
 def _all_collinear(stations: Sequence[BaseStation]) -> bool:
@@ -90,12 +115,3 @@ def _all_collinear(stations: Sequence[BaseStation]) -> bool:
         if abs(cross) > 1e-9 * scale * scale:
             return False
     return True
-
-
-def station_bounding_box(
-    stations: Sequence[BaseStation],
-) -> tuple[float, float, float, float]:
-    """(min_x, min_y, max_x, max_y) over the station positions."""
-    xs = [s.position.x for s in stations]
-    ys = [s.position.y for s in stations]
-    return min(xs), min(ys), max(xs), max(ys)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .channel import LinkState, MeasurementSet, emulate_measurement_set
 from .config import ScenarioConfig
-from .geometry import euclidean_distance, sorted_stations
+from .geometry import check_station_layout, euclidean_distance, sorted_stations
 from .irls import irls_position
 
 # not called here: run_batch reaches both through irls_position, but
@@ -115,12 +115,12 @@ def run_batch(cfg: ScenarioConfig) -> TrialBatch:
     Solver failures surface as large errors on flagged candidates, never as
     batch aborts. Deterministic given the config and root seed.
     """
-    stations = sorted_stations(cfg.stations)
+    layout = check_station_layout(cfg.stations)
     records: list[TrialRecord] = []
     for poi_index, poi in enumerate(cfg.pois):
         for trial_index in range(cfg.trials_per_poi):
             mset, _ = emulate_trial_measurements(cfg, poi_index, trial_index)
-            estimate = irls_position(mset, stations, cfg.solver, cfg.irls)
+            estimate = irls_position(mset, layout, cfg.solver, cfg.irls)
             # candidates ascend by reference id: the first is fixed-reference LS
             ls_candidate = estimate.candidates[0]
             records.append(

@@ -12,7 +12,8 @@ weights and the fused position update per iteration.
 Each epoch's range differences are formed once: every candidate carries the
 set it was solved from, and the loop reads its reference's coordinates and
 measured differences from those sets, resolved to plain coordinate tuples
-before the first iteration.
+before the first iteration. The station layout is checked once, on entry,
+and the checked layout is what the candidate solves receive.
 """
 
 from __future__ import annotations
@@ -22,8 +23,14 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .channel import MeasurementSet
-from .errors import GeometryError
-from .geometry import BaseStation, Position2D, check_station_layout, euclidean_distance
+from .geometry import (
+    BaseStation,
+    Position2D,
+    StationLayout,
+    check_station_layout,
+    euclidean_distance,
+    is_int,
+)
 from .lsq import (
     CandidateEstimate,
     ReferenceRows,
@@ -32,7 +39,10 @@ from .lsq import (
     residuals_at,
     solve_all_references,
 )
-from .tdoa import compute_tdoas, station_index
+
+# not called here: perfbench/tracer.py looks it up on this module and
+# reports a name missing here as a missing wrap point
+from .tdoa import compute_tdoas  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -44,12 +54,12 @@ class IrlsSettings:
     max_iterations: int = 100
 
     def __post_init__(self) -> None:
-        if not self.u_max_m > 0:
-            raise ValueError(f"u_max_m must be > 0, got {self.u_max_m}")
+        if not 0 < self.u_max_m < math.inf:
+            raise ValueError(f"u_max_m must be in (0, inf), got {self.u_max_m!r}")
         if not self.epsilon_m > 0:
             raise ValueError(f"epsilon_m must be > 0, got {self.epsilon_m}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if not is_int(self.max_iterations) or self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
 
 
 @dataclass(frozen=True)
@@ -95,26 +105,14 @@ def andrews_weight(u: float, u_max: float) -> float:
 
 
 def _uncertainty(geometry: ReferenceRows, q_wa: Position2D) -> float:
-    residuals = residuals_at(q_wa.x, q_wa.y, geometry)
-    return math.fsum(abs(r) for r in residuals) / len(residuals)
-
-
-def uncertainty_factor(
-    reference_id: int,
-    q_wa: Position2D,
-    m: MeasurementSet,
-    stations: Sequence[BaseStation],
-) -> float:
     """Mean absolute range-difference residual of q_wa for one reference.
 
     Averages |delta_d_ne - (||q_wa - q_n|| - ||q_wa - q_e||)| over the N-1
     non-reference stations; zero means the fused estimate explains that
     reference's measurements exactly.
     """
-    if len(m.station_ids) < 2:
-        raise GeometryError("uncertainty factor needs at least 2 stations")
-    rd = compute_tdoas(m, reference_id)
-    return _uncertainty(reference_rows(rd, station_index(stations)), q_wa)
+    residuals = residuals_at(q_wa.x, q_wa.y, geometry)
+    return math.fsum(abs(r) for r in residuals) / len(residuals)
 
 
 def weighted_average(
@@ -132,7 +130,7 @@ def weighted_average(
 
 def irls_position(
     m: MeasurementSet,
-    stations: Sequence[BaseStation],
+    stations: Sequence[BaseStation] | StationLayout,
     ls: SolverSettings | None = None,
     irls: IrlsSettings | None = None,
 ) -> PositionEstimate:
@@ -148,10 +146,9 @@ def irls_position(
     zero during normalization.
     """
     irls = irls or IrlsSettings()
-    sts = check_station_layout(stations)
-    index = station_index(sts)
-    candidates = tuple(solve_all_references(m, sts, ls))
-    geometries = [reference_rows(c.range_differences, index) for c in candidates]
+    layout = check_station_layout(stations)
+    candidates = tuple(solve_all_references(m, layout, ls))
+    geometries = [reference_rows(c.range_differences, layout) for c in candidates]
 
     n = len(candidates)
     q_wa = weighted_average(candidates, [1.0 / n] * n)

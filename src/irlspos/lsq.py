@@ -30,14 +30,16 @@ bit for bit, the one the capped loop would return. A cycle it does not
 notice only costs time.
 
 Each candidate carries the range differences it was solved from, so the
-reweighting stage reuses them instead of forming them again.
+reweighting stage reuses them instead of forming them again. The box, its
+diagonal, the centroid and the station coordinates come from the checked
+:class:`~irlspos.geometry.StationLayout`, so a plain station list is checked once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,10 +47,11 @@ from .channel import MeasurementSet
 from .geometry import (
     BaseStation,
     Position2D,
+    StationLayout,
     check_station_layout,
-    station_bounding_box,
+    is_int,
 )
-from .tdoa import RangeDifferenceSet, compute_tdoas, station_index
+from .tdoa import RangeDifferenceSet, compute_tdoas
 
 # det(J^T J) / trace(J^T J)^2 at or below which a step takes the lstsq path;
 # it bounds the condition number of J^T J at about 1 / ILL_CONDITIONED
@@ -74,12 +77,12 @@ class SolverSettings:
     bounds_margin_m: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not self.step_tolerance_m > 0:
-            raise ValueError(f"step_tolerance_m must be > 0, got {self.step_tolerance_m}")
-        if self.bounds_margin_m < 0:
-            raise ValueError(f"bounds_margin_m must be >= 0, got {self.bounds_margin_m}")
+        if not is_int(self.max_iterations) or self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
+        if not 0 < self.step_tolerance_m < math.inf:
+            raise ValueError(f"step_tolerance_m must be in (0, inf), got {self.step_tolerance_m!r}")
+        if not 0 <= self.bounds_margin_m < math.inf:
+            raise ValueError(f"bounds_margin_m must be in [0, inf), got {self.bounds_margin_m!r}")
 
 
 @dataclass(frozen=True)
@@ -95,19 +98,16 @@ class CandidateEstimate:
     range_differences: RangeDifferenceSet
 
 
-def reference_rows(
-    rd: RangeDifferenceSet, index: Mapping[int, BaseStation]
-) -> ReferenceRows:
+def reference_rows(rd: RangeDifferenceSet, layout: StationLayout) -> ReferenceRows:
     """The reference's coordinates and (x_n, y_n, delta_d_n) per entry."""
-    if rd.reference_id not in index:
+    positions = layout.positions
+    if rd.reference_id not in positions:
         raise ValueError(f"reference station {rd.reference_id} not in station list")
-    missing = [sid for sid in rd.station_ids if sid not in index]
+    missing = [sid for sid in rd.station_ids if sid not in positions]
     if missing:
         raise ValueError(f"range differences reference unknown stations {missing}")
-    ref = index[rd.reference_id].position
-    rows = tuple(
-        (index[sid].position.x, index[sid].position.y, dd) for sid, dd in rd.entries
-    )
+    ref = positions[rd.reference_id]
+    rows = tuple((positions[sid].x, positions[sid].y, dd) for sid, dd in rd.entries)
     return (ref.x, ref.y), rows
 
 
@@ -116,14 +116,6 @@ def residuals_at(x: float, y: float, geometry: ReferenceRows) -> list[float]:
     (rx, ry), rows = geometry
     dist_e = math.hypot(x - rx, y - ry)
     return [dd - (math.hypot(x - qx, y - qy) - dist_e) for qx, qy, dd in rows]
-
-
-def ls_objective(
-    p: Position2D, rd: RangeDifferenceSet, stations: Sequence[BaseStation]
-) -> float:
-    """Sum of squared range-difference residuals at position p, in m^2."""
-    residuals = residuals_at(p.x, p.y, reference_rows(rd, station_index(stations)))
-    return math.fsum(r * r for r in residuals)
 
 
 def _gauss_newton_step(
@@ -171,7 +163,7 @@ def _gauss_newton_step(
 
 def solve_single_reference(
     rd: RangeDifferenceSet,
-    stations: Sequence[BaseStation],
+    stations: Sequence[BaseStation] | StationLayout,
     settings: SolverSettings | None = None,
 ) -> CandidateEstimate:
     """Minimize the squared residuals of one reference choice.
@@ -185,22 +177,20 @@ def solve_single_reference(
     steps taken.
     """
     settings = settings or SolverSettings()
-    sts = check_station_layout(stations)
-    geometry = reference_rows(rd, station_index(sts))
-    station_xy = [(s.position.x, s.position.y) for s in sts]
+    layout = check_station_layout(stations)
+    geometry = reference_rows(rd, layout)
+    positions = layout.positions.values()
 
-    min_x, min_y, max_x, max_y = station_bounding_box(sts)
+    min_x, min_y, max_x, max_y = layout.box
     diag = math.hypot(max_x - min_x, max_y - min_y)
-    margin = settings.bounds_margin_m
-    lo_x, lo_y = min_x - margin, min_y - margin
-    hi_x, hi_y = max_x + margin, max_y + margin
+    lo_x, lo_y, hi_x, hi_y = layout.solve_box(settings.bounds_margin_m)
     tolerance = settings.step_tolerance_m
 
     if settings.initial_guess is not None:
         x, y = settings.initial_guess.x, settings.initial_guess.y
     else:
-        x = sum(sx for sx, _ in station_xy) / len(sts)
-        y = sum(sy for _, sy in station_xy) / len(sts)
+        x = sum(p.x for p in positions) / len(positions)
+        y = sum(p.y for p in positions) / len(positions)
 
     converged = False
     iterations = 0
@@ -210,8 +200,8 @@ def solve_single_reference(
     first_seen: dict[tuple[float, float], int] | None = None
     for iterations in range(1, cap + 1):
         # nudge off any station position, where the Jacobian is undefined
-        for sx, sy in station_xy:
-            if math.hypot(x - sx, y - sy) < 1e-12:
+        for p in positions:
+            if math.hypot(x - p.x, y - p.y) < 1e-12:
                 x += tolerance
                 break
         step = _gauss_newton_step(x, y, geometry)
@@ -253,7 +243,7 @@ def solve_single_reference(
 
 def solve_all_references(
     m: MeasurementSet,
-    stations: Sequence[BaseStation],
+    stations: Sequence[BaseStation] | StationLayout,
     settings: SolverSettings | None = None,
 ) -> list[CandidateEstimate]:
     """One candidate per reference choice, ascending by reference id.
@@ -261,12 +251,13 @@ def solve_all_references(
     Candidates that fail to converge are kept (flagged, not dropped); the
     downstream weighting stage decides how much they count.
     """
-    sts = check_station_layout(stations)
-    if set(m.station_ids) != {s.id for s in sts}:
+    layout = check_station_layout(stations)
+    if set(m.station_ids) != layout.positions.keys():
         raise ValueError(
             f"measurement set stations {m.station_ids} do not match "
-            f"layout {tuple(s.id for s in sts)}"
+            f"layout {tuple(layout.positions)}"
         )
     return [
-        solve_single_reference(compute_tdoas(m, s.id), sts, settings) for s in sts
+        solve_single_reference(compute_tdoas(m, sid), layout, settings)
+        for sid in layout.positions
     ]

@@ -9,17 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .channel import MeasurementSet
 from .errors import GeometryError
-from .geometry import (
-    MIN_STATIONS,
-    SPEED_OF_LIGHT_M_S,
-    BaseStation,
-    Position2D,
-    euclidean_distance,
-)
+from .geometry import MIN_STATIONS, SPEED_OF_LIGHT_M_S, is_int
 
 
 @dataclass(frozen=True)
@@ -34,9 +27,10 @@ class RangeDifferenceSet:
     entries: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
-        ordered = tuple(
-            sorted(((int(sid), float(dd)) for sid, dd in self.entries))
-        )
+        for sid in (self.reference_id, *(sid for sid, _ in self.entries)):
+            if not is_int(sid):
+                raise ValueError(f"station id must be an integer, got {sid!r}")
+        ordered = tuple(sorted((sid, float(dd)) for sid, dd in self.entries))
         object.__setattr__(self, "entries", ordered)
         ids = [sid for sid, _ in ordered]
         if self.reference_id in ids:
@@ -75,16 +69,3 @@ def compute_tdoas(m: MeasurementSet, reference_id: int) -> RangeDifferenceSet:
         delta_d = SPEED_OF_LIGHT_M_S * ((m.toa(sid) - toa_e) - offset)
         entries.append((sid, delta_d))
     return RangeDifferenceSet(reference_id=reference_id, entries=tuple(entries))
-
-
-def predicted_range_difference(p: Position2D, n: BaseStation, e: BaseStation) -> float:
-    """Model range difference ||p - q_n|| - ||p - q_e|| at position p."""
-    return euclidean_distance(p, n.position) - euclidean_distance(p, e.position)
-
-
-def station_index(stations: Sequence[BaseStation]) -> dict[int, BaseStation]:
-    """Id-keyed station lookup with duplicate detection."""
-    index = {s.id: s for s in stations}
-    if len(index) != len(stations):
-        raise GeometryError("station ids must be unique")
-    return index

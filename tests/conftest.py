@@ -2,11 +2,21 @@
 plus helpers that only the tests need."""
 
 import hashlib
+import math
 
 import pytest
-from hypothesis import settings
+from hypothesis import assume, settings
+from hypothesis import strategies as st
 
-from irlspos import LinkState, Position2D, emulate_measurement_set
+from irlspos import (
+    BaseStation,
+    GeometryError,
+    LinkState,
+    Position2D,
+    emulate_measurement_set,
+    euclidean_distance,
+)
+from irlspos.geometry import check_station_layout
 from irlspos.presets import cband_profile, corner_stations
 
 AOI_W = 29.0
@@ -43,6 +53,44 @@ def exact_measurements(ue, stations, band, biases=None, schedule_period_s=0.0):
         schedule_period_s=schedule_period_s,
         noise_std_m=0.0,
     )
+
+
+COORD = st.floats(0.0, 40.0)
+
+
+@st.composite
+def station_layouts(draw):
+    """3-8 stations with ids 1..N, at least 1 m apart and not all collinear."""
+    points = draw(st.lists(st.tuples(COORD, COORD), min_size=3, max_size=8))
+    stations = [BaseStation(i + 1, Position2D(x, y)) for i, (x, y) in enumerate(points)]
+    assume(
+        all(
+            euclidean_distance(a.position, b.position) >= 1.0
+            for i, a in enumerate(stations)
+            for b in stations[i + 1 :]
+        )
+    )
+    try:
+        check_station_layout(stations)
+    except GeometryError:
+        assume(False)
+    return stations
+
+
+@st.composite
+def fixes(draw, bias=st.just(0.0)):
+    """(stations, UE, {station id: range bias}): a drawn layout, a UE that is
+    a convex combination of its stations, and one station's range biased by
+    a draw from ``bias``."""
+    stations = draw(station_layouts())
+    weights = draw(st.lists(st.integers(0, 100), min_size=len(stations), max_size=len(stations)))
+    assume(sum(weights) > 0)
+    ue = Position2D(
+        math.fsum(w * s.position.x for w, s in zip(weights, stations)) / sum(weights),
+        math.fsum(w * s.position.y for w, s in zip(weights, stations)) / sum(weights),
+    )
+    biased = draw(st.sampled_from([s.id for s in stations]))
+    return stations, ue, {biased: draw(bias)}
 
 
 def translated(p, dx, dy):

@@ -16,6 +16,7 @@ from irlspos import (
     BaseStation,
     ConfigError,
     LinkState,
+    MeasurementSet,
     MultipathComponent,
     Position2D,
     emulate_measurement_set,
@@ -63,6 +64,13 @@ def make_band(**overrides):
 def test_band_invariants(field, value):
     with pytest.raises(ConfigError, match=field):
         make_band(**{field: value})
+
+
+@pytest.mark.parametrize("bad_id", [1.5, True, "1"])
+def test_measurement_set_rejects_non_integer_station_ids(bad_id):
+    # 1.5 used to be stored as station 1
+    with pytest.raises(ConfigError, match="station id must be an integer"):
+        MeasurementSet(0, ((bad_id, 1e-8), (2, 2e-8), (3, 3e-8)))
 
 
 # --- noise model --------------------------------------------------------------

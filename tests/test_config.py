@@ -162,6 +162,21 @@ def test_malformed_scalars_are_config_errors(mutate, message):
         config_from_mapping(raw)
 
 
+# the same scalars set in code: each used to pass and fail later in run_batch
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        pytest.param({"trials_per_poi": 2.5}, id="fractional-trials"),
+        pytest.param({"trials_per_poi": True}, id="bool-trials"),
+        pytest.param({"root_seed": 1.5}, id="fractional-seed"),
+        pytest.param({"root_seed": True}, id="bool-seed"),
+    ],
+)
+def test_malformed_overrides_are_config_errors(overrides):
+    with pytest.raises(ConfigError, match=next(iter(overrides))):
+        get_preset("static_cband").with_overrides(**overrides)
+
+
 def test_integral_floats_and_numeric_strings_are_accepted():
     # YAML reads 1e-6 (no decimal point) as a string
     raw = config_to_mapping(get_preset("static_cband"))

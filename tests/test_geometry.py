@@ -1,4 +1,4 @@
-"""Distance and noise-free ToA model."""
+"""Distance, noise-free ToA model, and the station-layout check."""
 
 import math
 
@@ -11,9 +11,14 @@ from irlspos import (
     GeometryError,
     Position2D,
     euclidean_distance,
+    geometry,
+    irls_position,
+    run_batch,
     true_first_toa,
 )
 from irlspos.geometry import check_station_layout
+from irlspos.presets import get_preset
+from conftest import exact_measurements
 
 
 def test_distance_identity():
@@ -106,4 +111,37 @@ def test_layout_rejects_collinear():
 
 def test_layout_sorts_by_id(stations):
     shuffled = [stations[2], stations[0], stations[3], stations[1]]
-    assert [s.id for s in check_station_layout(shuffled)] == [1, 2, 3, 4]
+    layout = check_station_layout(shuffled)
+    assert [s.id for s in layout.stations] == [1, 2, 3, 4]
+    assert list(layout.positions) == [1, 2, 3, 4]
+    assert layout.box == (0.0, 0.0, 29.0, 25.0)
+    assert layout.solve_box(1.0) == (-1.0, -1.0, 30.0, 26.0)
+    assert check_station_layout(layout) is layout
+
+
+@pytest.fixture
+def collinearity_tests(monkeypatch):
+    """Counts the collinearity tests, one per layout check."""
+    calls = {"count": 0}
+    original = geometry._all_collinear
+
+    def counting(stations):
+        calls["count"] += 1
+        return original(stations)
+
+    monkeypatch.setattr(geometry, "_all_collinear", counting)
+    return calls
+
+
+def test_layout_is_checked_once_per_fix(stations, band, collinearity_tests):
+    m = exact_measurements(Position2D(10.0, 10.0), stations, band)
+    irls_position(m, stations)
+    assert collinearity_tests["count"] == 1
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+def test_layout_is_checked_once_per_batch(trials, collinearity_tests):
+    cfg = get_preset("semidynamic_cband").with_overrides(trials_per_poi=trials)
+    collinearity_tests["count"] = 0
+    run_batch(cfg)
+    assert collinearity_tests["count"] == 1

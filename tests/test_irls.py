@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from irlspos import (
     BaseStation,
@@ -21,12 +23,15 @@ from irlspos import (
     euclidean_distance,
     irls_position,
     solve_all_references,
-    uncertainty_factor,
     weighted_average,
 )
 from irlspos.channel import MeasurementSet
+from irlspos.geometry import check_station_layout
+from irlspos.irls import _uncertainty
+from irlspos.lsq import reference_rows
+from irlspos.presets import cband_profile, corner_stations
 from irlspos.tdoa import compute_tdoas
-from conftest import AOI_H, AOI_W, exact_measurements
+from conftest import AOI_H, AOI_W, exact_measurements, fixes
 
 
 def scripted_oracle(m, stations, ls_settings=None, irls_settings=None):
@@ -128,11 +133,16 @@ def test_andrews_strictly_decreasing_inside_support():
 
 # --- uncertainty factor --------------------------------------------------------------
 
+def uncertainty(reference_id, q_wa, m, stations):
+    rd = compute_tdoas(m, reference_id)
+    return _uncertainty(reference_rows(rd, check_station_layout(stations)), q_wa)
+
+
 def test_uncertainty_zero_at_truth(stations, band):
     ue = Position2D(9.0, 12.0)
     m = exact_measurements(ue, stations, band)
     for s in stations:
-        assert uncertainty_factor(s.id, ue, m, stations) == pytest.approx(0.0, abs=1e-12)
+        assert uncertainty(s.id, ue, m, stations) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_uncertainty_single_perturbed_entry(stations, band):
@@ -144,7 +154,7 @@ def test_uncertainty_single_perturbed_entry(stations, band):
         (sid, toa + (b / 299792458.0 if sid == 3 else 0.0)) for sid, toa in m.samples
     )
     perturbed = MeasurementSet(epoch_id=0, samples=samples)
-    assert uncertainty_factor(1, ue, perturbed, stations) == pytest.approx(
+    assert uncertainty(1, ue, perturbed, stations) == pytest.approx(
         b / 3, rel=1e-9
     )
 
@@ -153,9 +163,9 @@ def test_uncertainty_biased_reference_sees_full_bias(stations, band):
     # the reference's own bias enters every difference of its rotation
     ue = Position2D(9.0, 12.0)
     m = exact_measurements(ue, stations, band, biases={1: 10.0})
-    assert uncertainty_factor(1, ue, m, stations) == pytest.approx(10.0, rel=1e-9)
+    assert uncertainty(1, ue, m, stations) == pytest.approx(10.0, rel=1e-9)
     for sid in (2, 3, 4):
-        assert uncertainty_factor(sid, ue, m, stations) == pytest.approx(
+        assert uncertainty(sid, ue, m, stations) == pytest.approx(
             10.0 / 3, rel=1e-9
         )
 
@@ -308,38 +318,61 @@ def test_iteration_budget_is_respected(stations, band):
     assert est.iterations <= 7
 
 
-def test_station_order_does_not_matter(stations, band):
-    ue = Position2D(21.0, 6.0)
-    m = exact_measurements(ue, stations, band, biases={4: 2.0})
+# a permutation of up to 8 items: ORDERS draws it, reorder applies it
+ORDERS = st.permutations(range(8))
+BIASES = st.floats(0.5, 5.0)
+REVERSED = tuple(range(7, -1, -1))
+
+
+def reorder(items, order):
+    return [items[i] for i in order if i < len(items)]
+
+
+@given(case=fixes(BIASES), order=ORDERS)
+@example(case=(corner_stations(), Position2D(21.0, 6.0), {4: 2.0}), order=REVERSED)
+def test_station_order_does_not_matter(case, order):
+    stations, ue, biases = case
+    m = exact_measurements(ue, stations, cband_profile(), biases)
     est1 = irls_position(m, stations)
-    est2 = irls_position(m, list(reversed(stations)))
+    est2 = irls_position(m, reorder(stations, order))
     assert est1.position == est2.position  # bit-identical
     assert est1.weights == est2.weights
 
 
-def test_relabeling_ids_permutes_weights(stations, band):
-    # swap the labels of stations 1 and 2; same physics, permuted weight map
-    ue = Position2D(21.0, 6.0)
-    relabeled = [
-        BaseStation({1: 2, 2: 1}.get(s.id, s.id), s.position) for s in stations
-    ]
-    m1 = exact_measurements(ue, stations, band, biases={4: 2.0})
-    m2 = exact_measurements(ue, relabeled, band, biases={4: 2.0})
+# drawn fixes are noise-free: with a biased range, new labels reorder the
+# solver's sums, and a 1e-6 m step tolerance lets the stopping point move by
+# up to ~5e-9 m; the biased example below stays within 1e-9
+@given(case=fixes(), order=ORDERS)
+# swap the labels of stations 1 and 2
+@example(case=(corner_stations(), Position2D(21.0, 6.0), {4: 2.0}), order=(1, 0, 2, 3, 4, 5, 6, 7))
+def test_relabeling_ids_permutes_weights(case, order):
+    # same physics under new labels, so the weight map is permuted
+    stations, ue, biases = case
+    new_id = dict(zip((s.id for s in stations), reorder([s.id for s in stations], order)))
+    relabeled = [BaseStation(new_id[s.id], s.position) for s in stations]
+    band = cband_profile()
+    m1 = exact_measurements(ue, stations, band, biases)
+    m2 = exact_measurements(ue, relabeled, band, {new_id[k]: b for k, b in biases.items()})
     est1 = irls_position(m1, stations)
     est2 = irls_position(m2, relabeled)
     assert euclidean_distance(est1.position, est2.position) < 1e-9
-    assert est2.weights[1] == pytest.approx(est1.weights[2], abs=1e-12)
-    assert est2.weights[2] == pytest.approx(est1.weights[1], abs=1e-12)
-    assert est2.weights[3] == pytest.approx(est1.weights[3], abs=1e-12)
+    for sid, w in est1.weights.items():
+        assert est2.weights[new_id[sid]] == pytest.approx(w, abs=1e-12)
 
 
-def test_outlier_free_consistency_100_positions(stations, band):
-    rng = np.random.default_rng(16)
-    for _ in range(100):
-        ue = Position2D(*rng.uniform([0.5, 0.5], [AOI_W - 0.5, AOI_H - 0.5]))
-        m = exact_measurements(ue, stations, band)
-        est = irls_position(m, stations)
-        assert euclidean_distance(est.position, ue) < 1e-6
+# not a theorem: in about 0.2% of such fixes one reference's candidate ends on
+# the solve-box edge and stays in the fused estimate; the drawn examples and
+# these first three UEs of the former seeded sweep are all recovered
+@settings(max_examples=100)
+@given(case=fixes())
+@example(case=(corner_stations(), Position2D(16.37367148862222, 10.837859491764455), {}))
+@example(case=(corner_stations(), Position2D(3.134067112922687, 8.853909210463891), {}))
+@example(case=(corner_stations(), Position2D(17.902253074659022, 1.0197200763850525), {}))
+def test_outlier_free_consistency_100_positions(case):
+    stations, ue, biases = case
+    m = exact_measurements(ue, stations, cband_profile(), biases)
+    est = irls_position(m, stations)
+    assert euclidean_distance(est.position, ue) < 1e-6
 
 
 def test_settings_validation():
@@ -349,3 +382,20 @@ def test_settings_validation():
         IrlsSettings(epsilon_m=-1.0)
     with pytest.raises(ValueError, match="max_iterations"):
         IrlsSettings(max_iterations=0)
+
+
+# values that used to pass construction and break in the loop: an infinite
+# cutoff gave NaN weights, and a fractional budget raised TypeError
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("u_max_m", math.inf),
+        ("u_max_m", math.nan),
+        ("epsilon_m", math.nan),
+        ("max_iterations", 2.5),
+        ("max_iterations", True),
+    ],
+)
+def test_malformed_irls_settings_are_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        IrlsSettings(**{field: value})

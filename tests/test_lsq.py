@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irlspos import (
@@ -15,17 +15,16 @@ from irlspos import (
     RangeDifferenceSet,
     SolverSettings,
     euclidean_distance,
-    ls_objective,
     solve_all_references,
     solve_single_reference,
 )
 from irlspos import lsq
-from irlspos.geometry import check_station_layout, station_bounding_box
+from irlspos.geometry import check_station_layout
 from irlspos.harness import emulate_trial_measurements, run_batch
-from irlspos.lsq import _gauss_newton_step, reference_rows
-from irlspos.presets import PRESET_NAMES, get_preset
-from irlspos.tdoa import compute_tdoas, station_index
-from conftest import AOI_H, AOI_W, exact_measurements, translated
+from irlspos.lsq import _gauss_newton_step, reference_rows, residuals_at
+from irlspos.presets import PRESET_NAMES, cband_profile, corner_stations, get_preset
+from irlspos.tdoa import compute_tdoas
+from conftest import AOI_H, AOI_W, exact_measurements, fixes, station_layouts, translated
 
 
 def grid_search_minimum(rd, stations, step=0.01, x_max=AOI_W, y_max=AOI_H):
@@ -83,7 +82,7 @@ def lstsq_step(p, rd, stations):
 
 def closed_form_step(p, rd, stations):
     """The solver's own step arithmetic, for bit-for-bit loop comparisons."""
-    geometry = reference_rows(rd, station_index(stations))
+    geometry = reference_rows(rd, check_station_layout(stations))
     step = _gauss_newton_step(float(p[0]), float(p[1]), geometry)
     return None if step is None else np.array(step)
 
@@ -92,11 +91,12 @@ def lstsq_oracle(rd, stations, settings=None, step_fn=lstsq_step):
     """(position, converged, iterations) of the guarded Gauss-Newton loop,
     run to the cap without an early exit, with each step from ``step_fn``."""
     settings = settings or SolverSettings()
-    sts = check_station_layout(stations)
-    min_x, min_y, max_x, max_y = station_bounding_box(sts)
-    diag = math.hypot(max_x - min_x, max_y - min_y)
-    lo = np.array([min_x - settings.bounds_margin_m, min_y - settings.bounds_margin_m])
-    hi = np.array([max_x + settings.bounds_margin_m, max_y + settings.bounds_margin_m])
+    sts = sorted(stations, key=lambda s: s.id)
+    xs = [s.position.x for s in sts]
+    ys = [s.position.y for s in sts]
+    diag = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+    lo = np.array([min(xs) - settings.bounds_margin_m, min(ys) - settings.bounds_margin_m])
+    hi = np.array([max(xs) + settings.bounds_margin_m, max(ys) + settings.bounds_margin_m])
     if settings.initial_guess is not None:
         p = np.array([settings.initial_guess.x, settings.initial_guess.y])
     else:
@@ -273,29 +273,15 @@ def test_gauss_newton_steps_per_batch(preset, steps, gn_steps):
     assert gn_steps["count"] == steps
 
 
-COORD = st.floats(0.0, 40.0)
-
-
 @st.composite
 def biased_layouts(draw):
     """3-8 stations, at least 1 m apart and not all collinear, a reference,
     and range differences from a UE inside their bounding box with one
     station's range biased by 5-20 m."""
-    points = draw(st.lists(st.tuples(COORD, COORD), min_size=3, max_size=8))
-    stations = [BaseStation(i + 1, Position2D(x, y)) for i, (x, y) in enumerate(points)]
-    assume(
-        all(
-            euclidean_distance(a.position, b.position) >= 1.0
-            for i, a in enumerate(stations)
-            for b in stations[i + 1 :]
-        )
-    )
-    try:
-        check_station_layout(stations)
-    except GeometryError:
-        assume(False)
-    min_x, min_y, max_x, max_y = station_bounding_box(stations)
-    ue = Position2D(draw(st.floats(min_x, max_x)), draw(st.floats(min_y, max_y)))
+    stations = draw(station_layouts())
+    xs = [s.position.x for s in stations]
+    ys = [s.position.y for s in stations]
+    ue = Position2D(draw(st.floats(min(xs), max(xs))), draw(st.floats(min(ys), max(ys))))
     ids = [s.id for s in stations]
     biased = draw(st.sampled_from(ids))
     bias = draw(st.floats(5.0, 20.0))
@@ -321,10 +307,16 @@ def test_solver_equals_capped_loop_on_biased_layouts(case):
 
 # --- objective ------------------------------------------------------------------
 
+def objective(p, rd, stations):
+    """Sum of squared range-difference residuals at position p, in m^2."""
+    residuals = residuals_at(p.x, p.y, reference_rows(rd, check_station_layout(stations)))
+    return math.fsum(r * r for r in residuals)
+
+
 def test_objective_zero_at_truth(stations, band):
     ue = Position2D(11.0, 7.0)
     rd = compute_tdoas(exact_measurements(ue, stations, band), 1)
-    assert ls_objective(ue, rd, stations) < 1e-18
+    assert objective(ue, rd, stations) < 1e-18
 
 
 def test_objective_zero_for_all_zero_entries_on_bisectors(band):
@@ -334,7 +326,7 @@ def test_objective_zero_for_all_zero_entries_on_bisectors(band):
         BaseStation(3, Position2D(5, 0)),
     ]
     rd = compute_tdoas(exact_measurements(Position2D(0, 0), stations, band), 1)
-    assert ls_objective(Position2D(0, 0), rd, stations) < 1e-18
+    assert objective(Position2D(0, 0), rd, stations) < 1e-18
 
 
 def test_objective_single_perturbed_residual(stations, band):
@@ -344,7 +336,7 @@ def test_objective_single_perturbed_residual(stations, band):
         (sid, dd + (1.0 if sid == 3 else 0.0)) for sid, dd in rd.entries
     )
     perturbed = type(rd)(reference_id=rd.reference_id, entries=entries)
-    assert ls_objective(ue, perturbed, stations) == pytest.approx(1.0, abs=1e-9)
+    assert objective(ue, perturbed, stations) == pytest.approx(1.0, abs=1e-9)
 
 
 # --- single-reference solve -------------------------------------------------------
@@ -371,7 +363,7 @@ def test_minimizer_dominates_truth_under_bias(stations, band):
     rd = compute_tdoas(m, 1)  # reference clean
     cand = solve_single_reference(rd, stations)
     assert euclidean_distance(cand.position, ue) > 0.1
-    assert ls_objective(cand.position, rd, stations) <= ls_objective(ue, rd, stations)
+    assert objective(cand.position, rd, stations) <= objective(ue, rd, stations)
 
 
 def test_explicit_initial_guess_is_used(stations, band):
@@ -388,6 +380,25 @@ def test_solver_validates_settings():
         SolverSettings(max_iterations=0)
     with pytest.raises(ValueError, match="step_tolerance"):
         SolverSettings(step_tolerance_m=0.0)
+
+
+# values that used to pass construction and break in the solve: a NaN margin
+# turned the box clip off, and a fractional cap raised TypeError mid-solve
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("max_iterations", 2.5),
+        ("max_iterations", True),
+        ("step_tolerance_m", math.inf),
+        ("step_tolerance_m", math.nan),
+        ("bounds_margin_m", math.nan),
+        ("bounds_margin_m", math.inf),
+        ("bounds_margin_m", -0.5),
+    ],
+)
+def test_malformed_solver_settings_are_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolverSettings(**{field: value})
 
 
 def test_collinear_stations_raise(band):
@@ -461,18 +472,22 @@ def test_zero_noise_objective_below_1e_10(stations, band):
         ue = Position2D(*rng.uniform([1, 1], [AOI_W - 1, AOI_H - 1]))
         rd = compute_tdoas(exact_measurements(ue, stations, band), 1)
         cand = solve_single_reference(rd, stations)
-        assert ls_objective(cand.position, rd, stations) < 1e-10
+        assert objective(cand.position, rd, stations) < 1e-10
 
 
-def test_translation_equivariance(stations, band):
-    rng = np.random.default_rng(13)
-    ue = Position2D(6.0, 19.0)
-    shift = (137.25, -64.5)
+SHIFT = st.floats(-200.0, 200.0)
+
+
+@given(case=fixes(), shift=st.tuples(SHIFT, SHIFT))
+@example(case=(corner_stations(), Position2D(6.0, 19.0), {}), shift=(137.25, -64.5))
+def test_translation_equivariance(case, shift):
+    stations, ue, biases = case
+    band = cband_profile()
     moved_stations = [
         BaseStation(s.id, translated(s.position, *shift)) for s in stations
     ]
-    m = exact_measurements(ue, stations, band)
-    m_shifted = exact_measurements(translated(ue, *shift), moved_stations, band)
+    m = exact_measurements(ue, stations, band, biases)
+    m_shifted = exact_measurements(translated(ue, *shift), moved_stations, band, biases)
     for c, cs in zip(
         solve_all_references(m, stations),
         solve_all_references(m_shifted, moved_stations),

@@ -1,4 +1,4 @@
-"""Range-difference formation and the model predictor."""
+"""Range-difference formation."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from irlspos import (
     Position2D,
     compute_tdoas,
     euclidean_distance,
-    predicted_range_difference,
 )
 from irlspos.tdoa import RangeDifferenceSet
 from conftest import exact_measurements
@@ -53,47 +52,6 @@ def test_schedule_offset_is_removed(band):
     assert deltas[3] == pytest.approx(0.0, abs=1e-6)
 
 
-def test_predicted_equidistant_is_zero():
-    n = BaseStation(1, Position2D(0, 5))
-    e = BaseStation(2, Position2D(5, 0))
-    assert predicted_range_difference(Position2D(0, 0), n, e) == 0.0
-
-
-def test_predicted_at_reference_is_interstation_distance():
-    n = BaseStation(1, Position2D(6, 8))
-    e = BaseStation(2, Position2D(3, 4))
-    assert predicted_range_difference(e.position, n, e) == pytest.approx(
-        euclidean_distance(e.position, n.position)
-    )
-
-
-def test_predicted_ten_minus_five():
-    n = BaseStation(1, Position2D(6, 8))
-    e = BaseStation(2, Position2D(3, 4))
-    assert predicted_range_difference(Position2D(0, 0), n, e) == pytest.approx(5.0)
-
-
-def test_predicted_antisymmetry():
-    rng = np.random.default_rng(8)
-    for _ in range(200):
-        p = Position2D(*rng.uniform(-40, 40, 2))
-        n = BaseStation(1, Position2D(*rng.uniform(-40, 40, 2)))
-        e = BaseStation(2, Position2D(*rng.uniform(-40, 40, 2)))
-        assert predicted_range_difference(p, n, e) == pytest.approx(
-            -predicted_range_difference(p, e, n), abs=1e-12
-        )
-
-
-def test_predicted_bounded_by_interstation_distance():
-    rng = np.random.default_rng(9)
-    for _ in range(200):
-        p = Position2D(*rng.uniform(-40, 40, 2))
-        n = BaseStation(1, Position2D(*rng.uniform(-40, 40, 2)))
-        e = BaseStation(2, Position2D(*rng.uniform(-40, 40, 2)))
-        bound = euclidean_distance(n.position, e.position)
-        assert abs(predicted_range_difference(p, n, e)) <= bound + 1e-12
-
-
 def test_zero_noise_tdoas_match_prediction(stations, band):
     rng = np.random.default_rng(10)
     index = {s.id: s for s in stations}
@@ -103,7 +61,9 @@ def test_zero_noise_tdoas_match_prediction(stations, band):
         for ref in index:
             rd = compute_tdoas(m, ref)
             for sid, dd in rd.entries:
-                expected = predicted_range_difference(ue, index[sid], index[ref])
+                expected = euclidean_distance(ue, index[sid].position) - euclidean_distance(
+                    ue, index[ref].position
+                )
                 assert dd == pytest.approx(expected, abs=1e-12)
 
 
@@ -115,7 +75,9 @@ def test_zero_noise_tdoas_match_prediction_with_stagger(stations, band):
     m = exact_measurements(ue, stations, band, schedule_period_s=0.010)
     for ref in index:
         for sid, dd in compute_tdoas(m, ref).entries:
-            expected = predicted_range_difference(ue, index[sid], index[ref])
+            expected = euclidean_distance(ue, index[sid].position) - euclidean_distance(
+                ue, index[ref].position
+            )
             assert dd == pytest.approx(expected, abs=1e-7)
 
 
@@ -136,3 +98,13 @@ def test_entries_exclude_reference_and_sort():
     assert rd.station_ids == (1, 3)
     with pytest.raises(ValueError, match="reference"):
         RangeDifferenceSet(reference_id=1, entries=((1, 0.0), (2, 1.0)))
+
+
+@pytest.mark.parametrize(
+    "reference_id,entries",
+    [(1, ((2.7, 1.0), (3, 2.0))), (1, ((True, 1.0), (3, 2.0))), (1.5, ((2, 1.0), (3, 2.0)))],
+)
+def test_non_integer_station_ids_rejected(reference_id, entries):
+    # 2.7 used to be stored as station 2
+    with pytest.raises(ValueError, match="station id must be an integer"):
+        RangeDifferenceSet(reference_id=reference_id, entries=entries)
