@@ -67,6 +67,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"{method:>4}: {s.n_trials} trials  "
             f"mean {s.mean_error_m:.4f} m  p90 {s.p90_error_m:.4f} m"
         )
+    print(
+        f"degenerate trials: {batch.degenerate_trials}  "
+        f"non-converged candidate solves: {batch.nonconverged_candidates}"
+    )
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK

@@ -129,8 +129,15 @@ class ScenarioConfig:
             raise ConfigError(f"trials_per_poi must be >= 1, got {self.trials_per_poi!r}")
         if self.root_seed < 0:
             raise ConfigError(f"root_seed must be >= 0, got {self.root_seed!r}")
-        if self.noise_override_m is not None and self.noise_override_m < 0:
-            raise ConfigError(f"noise_override_m must be >= 0, got {self.noise_override_m!r}")
+        if self.noise_override_m is not None and not 0 <= self.noise_override_m < math.inf:
+            raise ConfigError(
+                f"noise_override_m must be finite and >= 0, got {self.noise_override_m!r}"
+            )
+        for name in ("station_height_m", "poi_height_m"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not isinstance(self.projected_3d, bool):
+            raise ConfigError(f"projected_3d must be true or false, got {self.projected_3d!r}")
 
     @property
     def height_difference_m(self) -> float:

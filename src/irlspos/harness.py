@@ -56,11 +56,16 @@ class MethodSummary:
 
 @dataclass
 class TrialBatch:
-    """All per-trial results of one run plus per-method summaries."""
+    """All per-trial results of one run, and two run diagnostics: the
+    trials whose reweighting rejected every reference (``degenerate``) and
+    the candidate solves, one per station per trial, that ended without
+    meeting the step tolerance."""
 
     config_name: str
     root_seed: int
     per_trial: tuple[TrialRecord, ...]
+    degenerate_trials: int = 0
+    nonconverged_candidates: int = 0
 
     def errors(self, method: str) -> np.ndarray:
         return np.array(
@@ -113,16 +118,21 @@ def run_batch(cfg: ScenarioConfig) -> TrialBatch:
     """Run every (PoI, trial) pair and record 2D errors for both methods.
 
     Solver failures surface as large errors on flagged candidates, never as
-    batch aborts. Deterministic given the config and root seed.
+    batch aborts; the batch counts degenerate trials and non-converged
+    candidates from the estimates it already holds. Deterministic given the
+    config and root seed.
     """
     layout = check_station_layout(cfg.stations)
     records: list[TrialRecord] = []
+    degenerate = nonconverged = 0
     for poi_index, poi in enumerate(cfg.pois):
         for trial_index in range(cfg.trials_per_poi):
             mset, _ = emulate_trial_measurements(cfg, poi_index, trial_index)
             estimate = irls_position(mset, layout, cfg.solver, cfg.irls)
             # candidates ascend by reference id: the first is fixed-reference LS
             ls_candidate = estimate.candidates[0]
+            degenerate += estimate.degenerate
+            nonconverged += sum(not c.converged for c in estimate.candidates)
             records.append(
                 TrialRecord(
                     poi_index=poi_index,
@@ -141,7 +151,11 @@ def run_batch(cfg: ScenarioConfig) -> TrialBatch:
                 )
             )
     return TrialBatch(
-        config_name=cfg.name, root_seed=cfg.root_seed, per_trial=tuple(records)
+        config_name=cfg.name,
+        root_seed=cfg.root_seed,
+        per_trial=tuple(records),
+        degenerate_trials=degenerate,
+        nonconverged_candidates=nonconverged,
     )
 
 
@@ -193,6 +207,8 @@ def export_results(batch: TrialBatch, out_dir: str | Path) -> list[Path]:
         f"config: {batch.config_name}",
         f"root_seed: {batch.root_seed}",
         f"ls_reference: lowest station id",
+        f"degenerate_trials: {batch.degenerate_trials}",
+        f"nonconverged_candidates: {batch.nonconverged_candidates}",
     ]
     for method in METHODS:
         if method not in summary:

@@ -2,13 +2,15 @@
 
 Gauss-Newton on the signed range-difference residuals with an analytic
 Jacobian (the Taylor-series iteration of Foy, IEEE Trans. AES, 1976). The
-unknown is a 2D point, so each step solves the 2x2 normal equations
-J^T J s = -J^T r in closed form by Cramer's rule, in plain floats. Where
-J^T J is singular or ill-conditioned (its determinant is at most
-``ILL_CONDITIONED`` times its squared trace, i.e. a condition number above
-about 1e6), the step falls back to ``np.linalg.lstsq`` on J s = -r at the
-same iterate, whose minimum-norm solution is well defined on a
-rank-deficient Jacobian.
+unknown is a 2D point, so each step accumulates the five sums of J^T J and
+J^T r in plain floats and solves J^T J s = -J^T r in closed form by
+Cramer's rule; it keeps no residual vector or Jacobian. Where J^T J is
+singular or ill-conditioned (its determinant is at most ``ILL_CONDITIONED``
+times its squared trace, i.e. a condition number above about 1e6), the step
+falls back to ``np.linalg.lstsq`` on J s = -r at the same iterate, whose
+minimum-norm solution is well defined on a rank-deficient Jacobian. Only
+then is that system built, from the same expressions, so the fallback step
+is the one a loop that always built it would take.
 
 Three guards keep candidates usable on outlier-contaminated epochs, where
 the objective can lose its finite minimizer along a hyperbola asymptote:
@@ -124,9 +126,10 @@ def _gauss_newton_step(
     """The step s minimizing ||J s + r|| at p = (x, y).
 
     r_n = delta_d_n - (||p - q_n|| - ||p - q_e||) and the Jacobian row is
-    dr_n/dp = -((p - q_n)/||p - q_n|| - (p - q_e)/||p - q_e||). None where
-    p coincides with a station (the Jacobian is undefined) or the lstsq
-    fallback fails to converge.
+    dr_n/dp = -((p - q_n)/||p - q_n|| - (p - q_e)/||p - q_e||). Only the
+    normal-equation sums are kept; the residuals and Jacobian are built only
+    when the lstsq fallback is taken. None where p coincides with a station
+    (the Jacobian is undefined) or the lstsq fallback fails to converge.
     """
     (rx, ry), rows = geometry
     ex, ey = x - rx, y - ry
@@ -135,7 +138,6 @@ def _gauss_newton_step(
         return None
     ux, uy = ex / dist_e, ey / dist_e
     a = b = c = gx = gy = 0.0
-    residuals, jacobian = [], []
     for qx, qy, dd in rows:
         nx, ny = x - qx, y - qy
         dist_n = math.hypot(nx, ny)
@@ -149,11 +151,26 @@ def _gauss_newton_step(
         c += jy * jy
         gx += jx * r
         gy += jy * r
-        residuals.append(r)
-        jacobian.append((jx, jy))
     det = a * c - b * b
     if det > ILL_CONDITIONED * (a + c) ** 2:
         return (b * gy - c * gx) / det, (b * gx - a * gy) / det
+    return _lstsq_step(x, y, geometry)
+
+
+def _lstsq_step(x: float, y: float, geometry: ReferenceRows) -> tuple[float, float] | None:
+    """The minimum-norm lstsq step at p = (x, y), off every station, on the
+    residuals and Jacobian of :func:`_gauss_newton_step`, rebuilt from the
+    same expressions. None if lstsq fails to converge."""
+    (rx, ry), rows = geometry
+    ex, ey = x - rx, y - ry
+    dist_e = math.hypot(ex, ey)
+    ux, uy = ex / dist_e, ey / dist_e
+    residuals, jacobian = [], []
+    for qx, qy, dd in rows:
+        nx, ny = x - qx, y - qy
+        dist_n = math.hypot(nx, ny)
+        residuals.append(dd - (dist_n - dist_e))
+        jacobian.append((-(nx / dist_n - ux), -(ny / dist_n - uy)))
     try:
         step, *_ = np.linalg.lstsq(np.array(jacobian), -np.array(residuals), rcond=None)
     except np.linalg.LinAlgError:
@@ -179,18 +196,19 @@ def solve_single_reference(
     settings = settings or SolverSettings()
     layout = check_station_layout(stations)
     geometry = reference_rows(rd, layout)
-    positions = layout.positions.values()
+    coords = tuple((p.x, p.y) for p in layout.positions.values())
+    hypot = math.hypot
 
     min_x, min_y, max_x, max_y = layout.box
-    diag = math.hypot(max_x - min_x, max_y - min_y)
+    diag = hypot(max_x - min_x, max_y - min_y)
     lo_x, lo_y, hi_x, hi_y = layout.solve_box(settings.bounds_margin_m)
     tolerance = settings.step_tolerance_m
 
     if settings.initial_guess is not None:
         x, y = settings.initial_guess.x, settings.initial_guess.y
     else:
-        x = sum(p.x for p in positions) / len(positions)
-        y = sum(p.y for p in positions) / len(positions)
+        x = sum(px for px, _ in coords) / len(coords)
+        y = sum(py for _, py in coords) / len(coords)
 
     converged = False
     iterations = 0
@@ -200,21 +218,22 @@ def solve_single_reference(
     first_seen: dict[tuple[float, float], int] | None = None
     for iterations in range(1, cap + 1):
         # nudge off any station position, where the Jacobian is undefined
-        for p in positions:
-            if math.hypot(x - p.x, y - p.y) < 1e-12:
+        for px, py in coords:
+            if hypot(x - px, y - py) < 1e-12:
                 x += tolerance
                 break
         step = _gauss_newton_step(x, y, geometry)
         if step is None:
             break
         step_x, step_y = step
-        step_norm = math.hypot(step_x, step_y)
-        while math.hypot(step_x, step_y) > diag:
+        step_norm = norm = hypot(step_x, step_y)
+        while norm > diag:
             step_x /= 2.0
             step_y /= 2.0
+            norm = hypot(step_x, step_y)
         free_x, free_y = x + step_x, y + step_y
-        x = min(max(free_x, lo_x), hi_x)
-        y = min(max(free_y, lo_y), hi_y)
+        x = lo_x if free_x < lo_x else hi_x if free_x > hi_x else free_x
+        y = lo_y if free_y < lo_y else hi_y if free_y > hi_y else free_y
         if step_norm < tolerance:
             converged = True
             break

@@ -51,21 +51,21 @@ def compute_tdoas(m: MeasurementSet, reference_id: int) -> RangeDifferenceSet:
 
     The transmit-schedule offset delta_ne is known exactly (synchronized
     stations) and cancels out of the arrival difference before scaling by
-    the speed of light.
+    the speed of light. The ToAs are read from one id -> ToA map.
     """
-    ids = m.station_ids
-    if reference_id not in ids:
-        raise ValueError(f"unknown reference station id {reference_id}; have {ids}")
-    if len(ids) < MIN_STATIONS:
+    toas = dict(m.samples)
+    if reference_id not in toas:
+        raise ValueError(f"unknown reference station id {reference_id}; have {tuple(toas)}")
+    if len(toas) < MIN_STATIONS:
         raise GeometryError(
-            f"need at least {MIN_STATIONS} stations for TDoA, got {len(ids)}"
+            f"need at least {MIN_STATIONS} stations for TDoA, got {len(toas)}"
         )
-    toa_e = m.toa(reference_id)
+    toa_e = toas[reference_id]
     entries = []
-    for sid in ids:
+    for sid, toa in toas.items():
         if sid == reference_id:
             continue
         offset = m.transmission_offset(sid, reference_id)
-        delta_d = SPEED_OF_LIGHT_M_S * ((m.toa(sid) - toa_e) - offset)
+        delta_d = SPEED_OF_LIGHT_M_S * ((toa - toa_e) - offset)
         entries.append((sid, delta_d))
     return RangeDifferenceSet(reference_id=reference_id, entries=tuple(entries))

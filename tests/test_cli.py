@@ -71,6 +71,7 @@ def test_run_end_to_end(tmp_path, capsys):
     assert main(["run", str(scenario), "--out", str(out_dir)]) == EXIT_OK
     printed = capsys.readouterr().out
     assert "mean" in printed and "p90" in printed
+    assert "degenerate trials: " in printed and "non-converged candidate solves: " in printed
     for name in ("trials.csv", "summary.txt", "cdf_ls.csv", "cdf_irls.csv"):
         assert (out_dir / name).is_file(), name
 

@@ -153,6 +153,24 @@ def test_field_specific_errors(mutate, message):
         pytest.param(
             lambda r: r.__setitem__("projected_3d", "yes"), "projected_3d", id="text-projected-3d"
         ),
+        pytest.param(
+            lambda r: r.__setitem__("projected_3d", 1), "projected_3d", id="integer-projected-3d"
+        ),
+        pytest.param(
+            lambda r: r.__setitem__("noise_override_m", float("nan")),
+            "noise_override_m",
+            id="nan-noise-override",
+        ),
+        pytest.param(
+            lambda r: r.__setitem__("noise_override_m", float("inf")),
+            "noise_override_m",
+            id="inf-noise-override",
+        ),
+        pytest.param(
+            lambda r: r.__setitem__("poi_height_m", float("-inf")),
+            "poi_height_m",
+            id="inf-poi-height",
+        ),
     ],
 )
 def test_malformed_scalars_are_config_errors(mutate, message):
@@ -160,6 +178,28 @@ def test_malformed_scalars_are_config_errors(mutate, message):
     mutate(raw)
     with pytest.raises(ConfigError, match=message):
         config_from_mapping(raw)
+
+
+# the same scalars set on the dataclass, past the YAML readers: a NaN noise
+# override used to fail only at the first trial's ToA check, and a text
+# projected_3d counted as true
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        pytest.param("noise_override_m", float("nan"), id="nan-noise-override"),
+        pytest.param("noise_override_m", float("inf"), id="inf-noise-override"),
+        pytest.param("noise_override_m", -0.5, id="negative-noise-override"),
+        pytest.param("station_height_m", float("nan"), id="nan-station-height"),
+        pytest.param("station_height_m", float("inf"), id="inf-station-height"),
+        pytest.param("poi_height_m", float("nan"), id="nan-poi-height"),
+        pytest.param("poi_height_m", float("-inf"), id="inf-poi-height"),
+        pytest.param("projected_3d", "yes", id="text-projected-3d"),
+        pytest.param("projected_3d", 1, id="integer-projected-3d"),
+    ],
+)
+def test_malformed_fields_set_in_code_are_config_errors(field, value):
+    with pytest.raises(ConfigError, match=field):
+        replace(get_preset("static_cband"), **{field: value})
 
 
 # the same scalars set in code: each used to pass and fail later in run_batch

@@ -195,6 +195,43 @@ def test_summary_file_contents(tmp_path):
     assert "mean_error_m" in text and "p90_error_m" in text
 
 
+# semidynamic_cband at its default seed: 374 of its 1,150 trials reject every
+# reference, and 165 of its 4,600 candidate solves end pinned to the box edge
+@pytest.mark.parametrize(
+    "preset,degenerate,nonconverged",
+    [("static_cband", 0, 0), ("semidynamic_cband", 374, 165)],
+)
+def test_run_diagnostics_are_reported(preset, degenerate, nonconverged, tmp_path):
+    batch = run_batch(get_preset(preset))
+    assert (batch.degenerate_trials, batch.nonconverged_candidates) == (degenerate, nonconverged)
+    d1, d2 = tmp_path / "a", tmp_path / "b"
+    export_results(batch, d1)
+    export_results(batch, d2)
+    for f in sorted(p.name for p in d1.iterdir()):
+        assert (d1 / f).read_bytes() == (d2 / f).read_bytes(), f
+    summary = (d1 / "summary.txt").read_text().splitlines()
+    assert f"degenerate_trials: {degenerate}" in summary
+    assert f"nonconverged_candidates: {nonconverged}" in summary
+    header = (d1 / "trials.csv").read_text().splitlines()[0]
+    assert header == "poi_index,trial_index,method,error_2d_m,rejected_stations"
+
+
+def test_run_diagnostics_count_the_estimates():
+    cfg = small_config(
+        nlos_probability=1.0, bias_model=BiasModel(kind="exponential", value_m=6.0)
+    )
+    estimates = [
+        irls_position(emulate_trial_measurements(cfg, p, t)[0], cfg.stations, cfg.solver, cfg.irls)
+        for p in range(len(cfg.pois))
+        for t in range(cfg.trials_per_poi)
+    ]
+    batch = run_batch(cfg)
+    assert batch.degenerate_trials == sum(e.degenerate for e in estimates) > 0
+    assert batch.nonconverged_candidates == sum(
+        not c.converged for e in estimates for c in e.candidates
+    )
+
+
 # --- directional behavior (reduced-size; full scale in the acceptance suite) -----
 
 def test_bandwidth_ordering_reduced():

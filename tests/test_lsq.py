@@ -87,6 +87,44 @@ def closed_form_step(p, rd, stations):
     return None if step is None else np.array(step)
 
 
+def reference_step(p, rd, stations):
+    """The closed-form step as first written: it builds the residual vector
+    and the Jacobian on every step, whichever path then uses them. The
+    solver must reproduce it bit for bit, the lstsq fallback included."""
+    (rx, ry), rows = reference_rows(rd, check_station_layout(stations))
+    x, y = float(p[0]), float(p[1])
+    ex, ey = x - rx, y - ry
+    dist_e = math.hypot(ex, ey)
+    if dist_e == 0.0:
+        return None
+    ux, uy = ex / dist_e, ey / dist_e
+    a = b = c = gx = gy = 0.0
+    residuals, jacobian = [], []
+    for qx, qy, dd in rows:
+        nx, ny = x - qx, y - qy
+        dist_n = math.hypot(nx, ny)
+        if dist_n == 0.0:
+            return None
+        r = dd - (dist_n - dist_e)
+        jx = -(nx / dist_n - ux)
+        jy = -(ny / dist_n - uy)
+        a += jx * jx
+        b += jx * jy
+        c += jy * jy
+        gx += jx * r
+        gy += jy * r
+        residuals.append(r)
+        jacobian.append((jx, jy))
+    det = a * c - b * b
+    if det > lsq.ILL_CONDITIONED * (a + c) ** 2:
+        return np.array([(b * gy - c * gx) / det, (b * gx - a * gy) / det])
+    try:
+        step, *_ = np.linalg.lstsq(np.array(jacobian), -np.array(residuals), rcond=None)
+    except np.linalg.LinAlgError:
+        return None
+    return np.array([float(step[0]), float(step[1])])
+
+
 def lstsq_oracle(rd, stations, settings=None, step_fn=lstsq_step):
     """(position, converged, iterations) of the guarded Gauss-Newton loop,
     run to the cap without an early exit, with each step from ``step_fn``."""
@@ -142,7 +180,9 @@ def lstsq_calls(monkeypatch):
 @pytest.mark.parametrize("preset", PRESET_NAMES)
 def test_candidates_match_lstsq_oracle_on_presets(preset, lstsq_calls):
     # every candidate of the preset's first 5 trials per PoI; all of them are
-    # well conditioned, so the closed-form step is the one under test
+    # well conditioned, so the closed-form step is the one under test. It
+    # must match the lstsq loop to 1e-9 m and the loop on reference_step
+    # bit for bit
     cfg = get_preset(preset).with_overrides(trials_per_poi=5)
     stations = sorted(cfg.stations, key=lambda s: s.id)
     solves = 0
@@ -159,6 +199,8 @@ def test_candidates_match_lstsq_oracle_on_presets(preset, lstsq_calls):
                 )
                 assert euclidean_distance(c.position, position) < 1e-9
                 assert (c.converged, c.iterations_used) == (converged, iterations)
+                exact = lstsq_oracle(c.range_differences, stations, cfg.solver, reference_step)
+                assert (c.position, c.converged, c.iterations_used) == exact
                 solves += 1
     assert solves == len(cfg.pois) * 5 * len(stations)
     assert lstsq_calls["count"] == 0
@@ -196,6 +238,13 @@ def test_singular_or_ill_conditioned_step_falls_back_to_lstsq(
     assert euclidean_distance(cand.position, position) < 1e-9
     assert (cand.converged, cand.iterations_used) == (converged, iterations)
     assert cand.converged
+    # the fallback rebuilds its system only when taken, from the same
+    # expressions: the first step and the whole solve are bit for bit the same
+    assert list(closed_form_step(start, ILL_POSED_RD, ILL_POSED_STATIONS)) == list(
+        reference_step(start, ILL_POSED_RD, ILL_POSED_STATIONS)
+    )
+    exact = lstsq_oracle(ILL_POSED_RD, ILL_POSED_STATIONS, settings, reference_step)
+    assert (cand.position, cand.converged, cand.iterations_used) == exact
     if expected is not None:
         assert euclidean_distance(cand.position, expected[0]) < 1e-9
         assert cand.iterations_used == expected[1]
