@@ -23,7 +23,7 @@ station clocks are assumed synchronized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -33,6 +33,7 @@ from .geometry import (
     SPEED_OF_LIGHT_M_S,
     BaseStation,
     Position2D,
+    as_number,
     euclidean_distance,
     is_int,
     sorted_stations,
@@ -63,19 +64,13 @@ class BandProfile:
     rolloff: float
 
     def __post_init__(self) -> None:
-        checks = [
-            ("carrier_frequency_hz", self.carrier_frequency_hz > 0),
-            ("bandwidth_hz", self.bandwidth_hz > 0),
-            ("subcarrier_spacing_hz", self.subcarrier_spacing_hz > 0),
-            ("signal_time_period_s", self.signal_time_period_s > 0),
-            ("snr_linear", self.snr_linear > 0),
-            ("symbol_period_s", self.symbol_period_s > 0),
-            ("rolloff", 0.0 <= self.rolloff <= 1.0),
-        ]
-        for name, ok in checks:
-            value = getattr(self, name)
-            if not ok or not math.isfinite(value):
-                raise ConfigError(f"invalid band parameter {name}={value!r}")
+        # field by field, so a bad bandwidth is reported before the symbol
+        # period that with_defaults could not derive from it
+        for f in fields(self):
+            value = as_number(getattr(self, f.name), f.name)
+            if not (0.0 <= value <= 1.0 if f.name == "rolloff" else value > 0):
+                raise ConfigError(f"invalid band parameter {f.name}={value!r}")
+            object.__setattr__(self, f.name, value)
 
     @classmethod
     def with_defaults(
@@ -92,7 +87,9 @@ class BandProfile:
         """Build a profile, deriving the symbol period so the pulse spectrum
         occupies exactly the configured bandwidth: T = (1 + rolloff) / B."""
         if symbol_period_s is None:
-            symbol_period_s = (1.0 + rolloff) / bandwidth_hz
+            bandwidth = as_number(bandwidth_hz, "bandwidth_hz")
+            if bandwidth > 0:
+                symbol_period_s = (1.0 + as_number(rolloff, "rolloff")) / bandwidth
         return cls(
             carrier_frequency_hz=carrier_frequency_hz,
             bandwidth_hz=bandwidth_hz,

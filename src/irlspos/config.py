@@ -1,11 +1,16 @@
 """Scenario configuration: schema, validation, and YAML loading.
 
 A scenario file is a YAML mapping with these keys (see the bundled presets
-for complete examples, ``irlspos presets show <name>``):
+for complete examples, ``irlspos presets show <name>``). ``stations``,
+``pois`` and ``band`` are required; any other key may be left out and then
+takes the default of its dataclass field. An unknown key at any level is an
+error. The block below is itself a valid scenario file:
 
-    name: my_scenario                 # optional label
-    stations:                         # >= 3, unique ids
+    name: my_scenario                 # label; default the file name
+    stations:                         # >= 3, unique ids, not collinear
       - {id: 1, x: 0.0, y: 0.0}
+      - {id: 2, x: 20.0, y: 0.0}
+      - {id: 3, x: 0.0, y: 20.0}
     pois:                             # >= 1 ground-truth evaluation points
       - {x: 10.0, y: 10.0}
     band:
@@ -15,25 +20,33 @@ for complete examples, ``irlspos presets show <name>``):
       signal_time_period_s: 1.0e-5
       snr_db: 20.0                    # or snr_linear (exactly one)
       rolloff: 0.25
-      symbol_period_s: 1.25e-8        # optional, default (1+rolloff)/bandwidth
-    transmit_power_dbm: 20.0          # optional; fidelity only, unused
+      symbol_period_s: 1.25e-8        # default (1+rolloff)/bandwidth
     bias_model: {type: exponential, mean_m: 3.0}    # or {type: fixed, value_m: ...}
     nlos_probability: 0.3
     schedule_period_s: 0.010
     trials_per_poi: 50
     root_seed: 20240601
-    noise_override_m: null            # optional; 0.0 disables ranging noise
-    projected_3d: false               # optional; adds height range offset
+    noise_override_m: null            # 0.0 disables ranging noise
+    projected_3d: false               # adds height range offset
     station_height_m: 4.0             # used only when projected_3d
     poi_height_m: 1.0                 # used only when projected_3d
-    solver: {max_iterations: 50, step_tolerance_m: 1.0e-6, bounds_margin_m: 1.0}
+    solver:
+      max_iterations: 50
+      step_tolerance_m: 1.0e-6
+      bounds_margin_m: 1.0
+      initial_guess: null             # or [x, y]; null starts at the station centroid
     irls: {u_max_m: 1.0, epsilon_m: 1.0e-3, max_iterations: 100}
+    transmit_power_dbm: 20.0          # fidelity only, unused
+
+Each scalar is read by the one rule in :mod:`irlspos.geometry` that also
+applies to values set in code: an integral float counts as an integer and a
+numeric string as a number.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+import inspect
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
 
@@ -41,7 +54,15 @@ import yaml
 
 from .channel import BandProfile
 from .errors import ConfigError, GeometryError
-from .geometry import BaseStation, Position2D, check_station_layout, is_int
+from .geometry import (
+    BaseStation,
+    Position2D,
+    as_flag,
+    as_integer,
+    as_number,
+    check_station_layout,
+    read_fields,
+)
 from .irls import IrlsSettings
 from .lsq import SolverSettings
 
@@ -68,8 +89,10 @@ class BiasModel:
     def __post_init__(self) -> None:
         if self.kind not in ("fixed", "exponential"):
             raise ConfigError(f"bias_model.type must be fixed or exponential, got {self.kind!r}")
-        if not math.isfinite(self.value_m) or self.value_m < 0:
-            raise ConfigError(f"bias_model value must be finite and >= 0, got {self.value_m!r}")
+        what = "bias_model.value_m" + ("" if self.kind == "fixed" else " (mean_m)")
+        object.__setattr__(self, "value_m", as_number(self.value_m, what))
+        if self.value_m < 0:
+            raise ConfigError(f"{what} must be >= 0, got {self.value_m!r}")
 
     def draw(self, rng) -> float:
         if self.kind == "fixed":
@@ -77,10 +100,18 @@ class BiasModel:
         return float(rng.exponential(self.value_m))
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """A complete experiment description."""
+def _bias_value_key(kind: Any) -> str:
+    """The scenario-file key of a bias model's value_m: an exponential
+    model names its mean."""
+    return "value_m" if kind == "fixed" else "mean_m"
 
+
+@dataclass(frozen=True, kw_only=True)
+class ScenarioConfig:
+    """A complete experiment description. The fields are keyword-only and
+    in the order config_to_mapping writes them."""
+
+    name: str = ""
     stations: tuple[BaseStation, ...]
     pois: tuple[Position2D, ...]
     band: BandProfile
@@ -89,16 +120,29 @@ class ScenarioConfig:
     schedule_period_s: float = 0.010
     trials_per_poi: int = 50
     root_seed: int = 20240601
-    solver: SolverSettings = field(default_factory=SolverSettings)
-    irls: IrlsSettings = field(default_factory=IrlsSettings)
     noise_override_m: float | None = None
     projected_3d: bool = False
     station_height_m: float = 4.0
     poi_height_m: float = 1.0
+    solver: SolverSettings = field(default_factory=SolverSettings)
+    irls: IrlsSettings = field(default_factory=IrlsSettings)
     transmit_power_dbm: float | None = None
-    name: str = ""
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "name", str(self.name))
+        read_fields(
+            self,
+            as_number,
+            "nlos_probability",
+            "schedule_period_s",
+            "station_height_m",
+            "poi_height_m",
+        )
+        read_fields(self, as_integer, "trials_per_poi", "root_seed")
+        read_fields(self, as_flag, "projected_3d")
+        for name in ("noise_override_m", "transmit_power_dbm"):
+            if getattr(self, name) is not None:
+                read_fields(self, as_number, name)
         try:
             layout = check_station_layout(self.stations)
         except GeometryError as exc:
@@ -120,24 +164,14 @@ class ScenarioConfig:
             raise ConfigError(
                 f"nlos_probability must be in [0, 1], got {self.nlos_probability!r}"
             )
-        if self.schedule_period_s < 0 or not math.isfinite(self.schedule_period_s):
+        if self.schedule_period_s < 0:
             raise ConfigError(f"schedule_period_s must be >= 0, got {self.schedule_period_s!r}")
-        for name in ("trials_per_poi", "root_seed"):
-            if not is_int(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.trials_per_poi < 1:
             raise ConfigError(f"trials_per_poi must be >= 1, got {self.trials_per_poi!r}")
         if self.root_seed < 0:
             raise ConfigError(f"root_seed must be >= 0, got {self.root_seed!r}")
-        if self.noise_override_m is not None and not 0 <= self.noise_override_m < math.inf:
-            raise ConfigError(
-                f"noise_override_m must be finite and >= 0, got {self.noise_override_m!r}"
-            )
-        for name in ("station_height_m", "poi_height_m"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not isinstance(self.projected_3d, bool):
-            raise ConfigError(f"projected_3d must be true or false, got {self.projected_3d!r}")
+        if self.noise_override_m is not None and self.noise_override_m < 0:
+            raise ConfigError(f"noise_override_m must be >= 0, got {self.noise_override_m!r}")
 
     @property
     def height_difference_m(self) -> float:
@@ -157,189 +191,102 @@ class ScenarioConfig:
         return cfg
 
 
-def _require(mapping: dict, key: str, context: str) -> Any:
-    if key not in mapping:
-        raise ConfigError(f"{context}: missing required field {key!r}")
-    return mapping[key]
+def _keys(build: Any) -> dict[str, bool]:
+    """Each parameter ``build`` declares, and whether it is required."""
+    return {
+        name: param.default is param.empty
+        for name, param in inspect.signature(build).parameters.items()
+    }
 
 
-def _number(value: Any, what: str) -> float:
-    """A finite real scalar. Numeric strings count, since YAML reads an
-    exponent without a decimal point, such as 1e-6, as a string."""
-    if not isinstance(value, bool):
-        try:
-            number = float(value)
-        except (TypeError, ValueError):
-            pass
-        else:
-            if math.isfinite(number):
-                return number
-    raise ConfigError(f"{what}: expected a finite number, got {value!r}")
-
-
-def _integer(value: Any, what: str) -> int:
-    """An integer scalar; an integral float such as 50.0 counts, a fraction
-    or a string does not."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ConfigError(f"{what}: expected an integer, got {value!r}")
-
-
-def _flag(value: Any, what: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{what}: expected true or false, got {value!r}")
-    return value
-
-
-def _section(raw: dict, key: str) -> dict:
-    """An optional nested mapping; absent means all defaults."""
-    value = raw.get(key, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key}: expected a mapping, got {value!r}")
-    return value
-
-
-def _band_from_mapping(raw: dict) -> BandProfile:
+def _checked(raw: Any, what: str, keys: dict[str, bool]) -> dict:
+    """``raw`` as a mapping that names no key outside ``keys`` and every
+    required one."""
     if not isinstance(raw, dict):
-        raise ConfigError("band: expected a mapping")
-    has_db = "snr_db" in raw
-    has_linear = "snr_linear" in raw
-    if has_db == has_linear:
-        raise ConfigError("band: specify exactly one of snr_db or snr_linear")
+        raise ConfigError(f"{what}: expected a mapping, got {raw!r}")
+    for key in raw:
+        if key not in keys:
+            raise ConfigError(f"{what}: unknown key {key!r}")
+    for key, required in keys.items():
+        if required and key not in raw:
+            raise ConfigError(f"{what}: missing required field {key!r}")
+    return dict(raw)
+
+
+def _built(build: Any, what: str, kwargs: dict) -> Any:
     try:
-        return BandProfile.with_defaults(
-            carrier_frequency_hz=_number(
-                _require(raw, "carrier_frequency_hz", "band"), "carrier_frequency_hz"
-            ),
-            bandwidth_hz=_number(_require(raw, "bandwidth_hz", "band"), "bandwidth_hz"),
-            subcarrier_spacing_hz=_number(
-                _require(raw, "subcarrier_spacing_hz", "band"), "subcarrier_spacing_hz"
-            ),
-            snr_linear=(
-                10.0 ** (_number(raw["snr_db"], "snr_db") / 10.0)
-                if has_db
-                else _number(raw["snr_linear"], "snr_linear")
-            ),
-            signal_time_period_s=_number(
-                raw.get("signal_time_period_s", 1e-5), "signal_time_period_s"
-            ),
-            rolloff=_number(raw.get("rolloff", 0.25), "rolloff"),
-            symbol_period_s=(
-                _number(raw["symbol_period_s"], "symbol_period_s")
-                if "symbol_period_s" in raw
-                else None
-            ),
+        return build(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
+def _entries(raw: Any, what: str, keys: dict[str, bool]) -> list[tuple[str, dict]]:
+    """(label, checked entry) for each entry of a non-empty list."""
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError(f"{what}: expected a non-empty list")
+    labels = [f"{what}[{i}]" for i in range(len(raw))]
+    return [(label, _checked(entry, label, keys)) for label, entry in zip(labels, raw)]
+
+
+def _point(raw: dict, what: str) -> Position2D:
+    return Position2D(as_number(raw["x"], f"{what}.x"), as_number(raw["y"], f"{what}.y"))
+
+
+def _band_from_mapping(raw: Any) -> BandProfile:
+    band = _checked(raw, "band", {**_keys(BandProfile.with_defaults), "snr_db": False})
+    if ("snr_db" in band) == ("snr_linear" in band):
+        raise ConfigError("band: specify exactly one of snr_db or snr_linear")
+    if "snr_db" in band:
+        band["snr_linear"] = 10.0 ** (as_number(band.pop("snr_db"), "band.snr_db") / 10.0)
+    return _built(BandProfile.with_defaults, "band", band)
+
+
+def _bias_from_mapping(raw: Any) -> BiasModel:
+    kind = raw.get("type") if isinstance(raw, dict) else None
+    bias = _checked(raw, "bias_model", {"type": True, _bias_value_key(kind): True})
+    return BiasModel(kind=kind, value_m=bias[_bias_value_key(kind)])
+
+
+def _solver_from_mapping(raw: Any) -> SolverSettings:
+    solver = _checked(raw, "solver", _keys(SolverSettings))
+    guess = solver.get("initial_guess")
+    if guess is not None:
+        if not isinstance(guess, list) or len(guess) != 2:
+            raise ConfigError(f"solver: initial_guess: expected [x, y], got {guess!r}")
+        solver["initial_guess"] = Position2D(
+            *(as_number(v, "solver.initial_guess") for v in guess)
         )
-    except ValueError as exc:
-        raise ConfigError(f"band: {exc}") from exc
+    return _built(SolverSettings, "solver", solver)
 
 
-def _point(raw: Any, what: str) -> Position2D:
-    if not isinstance(raw, dict) or "x" not in raw or "y" not in raw:
-        raise ConfigError(f"{what}: expected {{x, y}}, got {raw!r}")
-    return Position2D(_number(raw["x"], f"{what}.x"), _number(raw["y"], f"{what}.y"))
-
-
-def config_from_mapping(raw: dict, name: str = "") -> ScenarioConfig:
+def config_from_mapping(raw: Any, name: str = "") -> ScenarioConfig:
     """Build and validate a ScenarioConfig from parsed YAML data.
 
-    Every malformed field, a scalar of the wrong type included, raises
-    ConfigError; nothing is truncated or coerced from a fraction.
+    Only the file's structure is handled here: station and PoI lists,
+    ``snr_db``, the bias model's value key and ``initial_guess`` as [x, y].
+    A key that is left out takes its dataclass default, and ``name``
+    defaults to the given one. An unknown key at any level and every
+    malformed value raise ConfigError.
     """
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
-
-    stations_raw = _require(raw, "stations", "config")
-    if not isinstance(stations_raw, list) or not stations_raw:
-        raise ConfigError("stations: expected a non-empty list")
-    stations = []
-    for i, st in enumerate(stations_raw):
-        if not isinstance(st, dict) or "id" not in st:
-            raise ConfigError(f"stations[{i}]: expected {{id, x, y}}, got {st!r}")
-        stations.append(
-            BaseStation(
-                _integer(st["id"], f"stations[{i}].id"), _point(st, f"stations[{i}]")
-            )
-        )
-
-    pois_raw = _require(raw, "pois", "config")
-    if not isinstance(pois_raw, list) or not pois_raw:
-        raise ConfigError("pois: expected a non-empty list")
-    pois = [_point(poi, f"pois[{i}]") for i, poi in enumerate(pois_raw)]
-
-    bias_raw = raw.get("bias_model", {"type": "exponential", "mean_m": 3.0})
-    if not isinstance(bias_raw, dict) or "type" not in bias_raw:
-        raise ConfigError(f"bias_model: expected a mapping with a type, got {bias_raw!r}")
-    kind = bias_raw["type"]
-    value_key = "value_m" if kind == "fixed" else "mean_m"
-    if value_key not in bias_raw:
-        raise ConfigError(f"bias_model: {kind!r} model requires {value_key!r}")
-    bias_model = BiasModel(
-        kind=kind, value_m=_number(bias_raw[value_key], f"bias_model.{value_key}")
+    cfg = _checked(raw, "config", _keys(ScenarioConfig))
+    station_keys = {"id": True, **_keys(Position2D)}
+    cfg["stations"] = tuple(
+        BaseStation(as_integer(st["id"], f"{label}.id"), _point(st, label))
+        for label, st in _entries(cfg["stations"], "stations", station_keys)
     )
-
-    solver_raw = _section(raw, "solver")
-    guess = solver_raw.get("initial_guess")
-    try:
-        if guess is not None and (not isinstance(guess, list) or len(guess) != 2):
-            raise ConfigError(f"initial_guess: expected [x, y], got {guess!r}")
-        solver = SolverSettings(
-            max_iterations=_integer(solver_raw.get("max_iterations", 50), "max_iterations"),
-            step_tolerance_m=_number(
-                solver_raw.get("step_tolerance_m", 1e-6), "step_tolerance_m"
-            ),
-            initial_guess=(
-                None
-                if guess is None
-                else Position2D(*(_number(v, "initial_guess") for v in guess))
-            ),
-            bounds_margin_m=_number(
-                solver_raw.get("bounds_margin_m", 1.0), "bounds_margin_m"
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"solver: {exc}") from exc
-    irls_raw = _section(raw, "irls")
-    try:
-        irls = IrlsSettings(
-            u_max_m=_number(irls_raw.get("u_max_m", 1.0), "u_max_m"),
-            epsilon_m=_number(irls_raw.get("epsilon_m", 1e-3), "epsilon_m"),
-            max_iterations=_integer(irls_raw.get("max_iterations", 100), "max_iterations"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"irls: {exc}") from exc
-
-    noise_override = raw.get("noise_override_m")
-    return ScenarioConfig(
-        stations=tuple(stations),
-        pois=tuple(pois),
-        band=_band_from_mapping(_require(raw, "band", "config")),
-        bias_model=bias_model,
-        nlos_probability=_number(raw.get("nlos_probability", 0.0), "nlos_probability"),
-        schedule_period_s=_number(
-            raw.get("schedule_period_s", 0.010), "schedule_period_s"
-        ),
-        trials_per_poi=_integer(raw.get("trials_per_poi", 50), "trials_per_poi"),
-        root_seed=_integer(raw.get("root_seed", 20240601), "root_seed"),
-        solver=solver,
-        irls=irls,
-        noise_override_m=(
-            None
-            if noise_override is None
-            else _number(noise_override, "noise_override_m")
-        ),
-        projected_3d=_flag(raw.get("projected_3d", False), "projected_3d"),
-        station_height_m=_number(raw.get("station_height_m", 4.0), "station_height_m"),
-        poi_height_m=_number(raw.get("poi_height_m", 1.0), "poi_height_m"),
-        transmit_power_dbm=(
-            _number(raw["transmit_power_dbm"], "transmit_power_dbm")
-            if "transmit_power_dbm" in raw
-            else None
-        ),
-        name=str(raw.get("name", name)),
+    cfg["pois"] = tuple(
+        _point(poi, label) for label, poi in _entries(cfg["pois"], "pois", _keys(Position2D))
     )
+    cfg["band"] = _band_from_mapping(cfg["band"])
+    if "bias_model" in cfg:
+        cfg["bias_model"] = _bias_from_mapping(cfg["bias_model"])
+    if "solver" in cfg:
+        cfg["solver"] = _solver_from_mapping(cfg["solver"])
+    if "irls" in cfg:
+        irls = _checked(cfg["irls"], "irls", _keys(IrlsSettings))
+        cfg["irls"] = _built(IrlsSettings, "irls", irls)
+    cfg.setdefault("name", name)
+    return ScenarioConfig(**cfg)
 
 
 def load_config(path_or_preset: str | Path) -> ScenarioConfig:
@@ -362,53 +309,26 @@ def load_config(path_or_preset: str | Path) -> ScenarioConfig:
     return config_from_mapping(raw, name=path.stem)
 
 
+def _fields(obj: Any) -> dict[str, Any]:
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def config_to_mapping(cfg: ScenarioConfig) -> dict:
-    """Plain-data form of a config, suitable for YAML dumping."""
-    band = cfg.band
-    out: dict[str, Any] = {
-        "name": cfg.name,
-        "stations": [
-            {"id": s.id, "x": s.position.x, "y": s.position.y} for s in cfg.stations
-        ],
-        "pois": [{"x": p.x, "y": p.y} for p in cfg.pois],
-        "band": {
-            "carrier_frequency_hz": band.carrier_frequency_hz,
-            "bandwidth_hz": band.bandwidth_hz,
-            "subcarrier_spacing_hz": band.subcarrier_spacing_hz,
-            "signal_time_period_s": band.signal_time_period_s,
-            "snr_linear": band.snr_linear,
-            "symbol_period_s": band.symbol_period_s,
-            "rolloff": band.rolloff,
-        },
-        "bias_model": (
-            {"type": "fixed", "value_m": cfg.bias_model.value_m}
-            if cfg.bias_model.kind == "fixed"
-            else {"type": "exponential", "mean_m": cfg.bias_model.value_m}
-        ),
-        "nlos_probability": cfg.nlos_probability,
-        "schedule_period_s": cfg.schedule_period_s,
-        "trials_per_poi": cfg.trials_per_poi,
-        "root_seed": cfg.root_seed,
-        "noise_override_m": cfg.noise_override_m,
-        "projected_3d": cfg.projected_3d,
-        "station_height_m": cfg.station_height_m,
-        "poi_height_m": cfg.poi_height_m,
-        "solver": {
-            "max_iterations": cfg.solver.max_iterations,
-            "step_tolerance_m": cfg.solver.step_tolerance_m,
-            "bounds_margin_m": cfg.solver.bounds_margin_m,
-        },
-        "irls": {
-            "u_max_m": cfg.irls.u_max_m,
-            "epsilon_m": cfg.irls.epsilon_m,
-            "max_iterations": cfg.irls.max_iterations,
-        },
+    """Plain-data form of a config, suitable for YAML dumping; keys follow
+    the dataclass fields, as config_from_mapping accepts them."""
+    out = _fields(cfg)
+    out["stations"] = [
+        {"id": s.id, "x": s.position.x, "y": s.position.y} for s in cfg.stations
+    ]
+    out["pois"] = [{"x": p.x, "y": p.y} for p in cfg.pois]
+    out["band"] = _fields(cfg.band)
+    out["bias_model"] = {
+        "type": cfg.bias_model.kind,
+        _bias_value_key(cfg.bias_model.kind): cfg.bias_model.value_m,
     }
-    if cfg.solver.initial_guess is not None:
-        out["solver"]["initial_guess"] = [
-            cfg.solver.initial_guess.x,
-            cfg.solver.initial_guess.y,
-        ]
-    if cfg.transmit_power_dbm is not None:
-        out["transmit_power_dbm"] = cfg.transmit_power_dbm
+    out["solver"] = solver = _fields(cfg.solver)
+    guess = solver.pop("initial_guess")
+    if guess is not None:
+        solver["initial_guess"] = [guess.x, guess.y]
+    out["irls"] = _fields(cfg.irls)
     return out

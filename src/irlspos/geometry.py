@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .errors import GeometryError
+from .errors import ConfigError, GeometryError
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
@@ -56,6 +56,47 @@ def true_first_toa(ue: Position2D, bs: BaseStation) -> float:
 def is_int(value: object) -> bool:
     """True for an int that is not a bool: the rule for station ids and counts."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+# The scalar readers below are the one type rule for scenario and settings
+# fields, whether a value comes from a YAML file or from code.
+
+
+def as_number(value: Any, what: str) -> float:
+    """A finite real scalar. Numeric strings count, since YAML reads an
+    exponent without a decimal point, such as 1e-6, as a string."""
+    if not isinstance(value, bool):
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if math.isfinite(number):
+                return number
+    raise ConfigError(f"{what}: expected a finite number, got {value!r}")
+
+
+def as_integer(value: Any, what: str) -> int:
+    """An integer scalar; an integral float such as 50.0 counts, a fraction
+    or a string does not."""
+    if is_int(value):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{what}: expected an integer, got {value!r}")
+
+
+def as_flag(value: Any, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{what}: expected true or false, got {value!r}")
+    return value
+
+
+def read_fields(obj: object, read: Callable[[Any, str], Any], *names: str) -> None:
+    """Replace each named field of the frozen dataclass ``obj`` by what
+    ``read`` returns for it, so the instance holds typed values."""
+    for name in names:
+        object.__setattr__(obj, name, read(getattr(obj, name), name))
 
 
 def sorted_stations(stations: Iterable[BaseStation]) -> list[BaseStation]:

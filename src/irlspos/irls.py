@@ -23,13 +23,16 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .channel import MeasurementSet
+from .errors import ConfigError
 from .geometry import (
     BaseStation,
     Position2D,
     StationLayout,
+    as_integer,
+    as_number,
     check_station_layout,
     euclidean_distance,
-    is_int,
+    read_fields,
 )
 from .lsq import (
     CandidateEstimate,
@@ -54,12 +57,14 @@ class IrlsSettings:
     max_iterations: int = 100
 
     def __post_init__(self) -> None:
-        if not 0 < self.u_max_m < math.inf:
-            raise ValueError(f"u_max_m must be in (0, inf), got {self.u_max_m!r}")
-        if not self.epsilon_m > 0:
-            raise ValueError(f"epsilon_m must be > 0, got {self.epsilon_m}")
-        if not is_int(self.max_iterations) or self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
+        read_fields(self, as_number, "u_max_m", "epsilon_m")
+        read_fields(self, as_integer, "max_iterations")
+        if self.u_max_m <= 0:
+            raise ConfigError(f"u_max_m must be > 0, got {self.u_max_m!r}")
+        if self.epsilon_m <= 0:
+            raise ConfigError(f"epsilon_m must be > 0, got {self.epsilon_m!r}")
+        if self.max_iterations < 1:
+            raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
 
 
 @dataclass(frozen=True)

@@ -46,12 +46,15 @@ from typing import Sequence
 import numpy as np
 
 from .channel import MeasurementSet
+from .errors import ConfigError
 from .geometry import (
     BaseStation,
     Position2D,
     StationLayout,
+    as_integer,
+    as_number,
     check_station_layout,
-    is_int,
+    read_fields,
 )
 from .tdoa import RangeDifferenceSet, compute_tdoas
 
@@ -79,12 +82,18 @@ class SolverSettings:
     bounds_margin_m: float = 1.0
 
     def __post_init__(self) -> None:
-        if not is_int(self.max_iterations) or self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
-        if not 0 < self.step_tolerance_m < math.inf:
-            raise ValueError(f"step_tolerance_m must be in (0, inf), got {self.step_tolerance_m!r}")
-        if not 0 <= self.bounds_margin_m < math.inf:
-            raise ValueError(f"bounds_margin_m must be in [0, inf), got {self.bounds_margin_m!r}")
+        read_fields(self, as_integer, "max_iterations")
+        read_fields(self, as_number, "step_tolerance_m", "bounds_margin_m")
+        if self.max_iterations < 1:
+            raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
+        if self.step_tolerance_m <= 0:
+            raise ConfigError(f"step_tolerance_m must be > 0, got {self.step_tolerance_m!r}")
+        if self.bounds_margin_m < 0:
+            raise ConfigError(f"bounds_margin_m must be >= 0, got {self.bounds_margin_m!r}")
+        if not isinstance(self.initial_guess, (Position2D, type(None))):
+            raise ConfigError(
+                f"initial_guess must be a Position2D or None, got {self.initial_guess!r}"
+            )
 
 
 @dataclass(frozen=True)

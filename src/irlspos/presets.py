@@ -28,7 +28,6 @@ AOI_WIDTH_M = 29.0
 AOI_HEIGHT_M = 25.0
 POI_COUNT = 23
 POI_GRID_SEED = 20230423
-DEFAULT_ROOT_SEED = 20240601
 
 PRESET_NAMES = (
     "static_cband",
@@ -93,7 +92,6 @@ def get_preset(name: str) -> ScenarioConfig:
         nlos_probability=0.3 if semidynamic else 0.0,
         schedule_period_s=0.010,
         trials_per_poi=50,
-        root_seed=DEFAULT_ROOT_SEED,
         transmit_power_dbm=20.0,
         name=name,
     )

@@ -3,7 +3,7 @@
 import yaml
 
 from irlspos.cli import EXIT_CONFIG, EXIT_OK, main
-from irlspos.config import config_to_mapping
+from irlspos.config import config_to_mapping, load_config
 from irlspos.presets import PRESET_NAMES, get_preset
 
 
@@ -24,11 +24,14 @@ def test_presets_list(capsys):
 
 
 def test_presets_show_round_trips(capsys, tmp_path):
-    assert main(["presets", "show", "semidynamic_mmwave"]) == EXIT_OK
-    dumped = capsys.readouterr().out
-    path = tmp_path / "dumped.yaml"
-    path.write_text(dumped)
-    assert main(["validate", str(path)]) == EXIT_OK
+    for name in PRESET_NAMES:
+        assert main(["presets", "show", name]) == EXIT_OK
+        dumped = capsys.readouterr().out
+        path = tmp_path / "dumped.yaml"
+        path.write_text(dumped)
+        assert main(["validate", str(path)]) == EXIT_OK
+        assert "OK" in capsys.readouterr().out
+        assert load_config(path) == get_preset(name)
 
 
 def test_validate_preset(capsys):
@@ -57,6 +60,14 @@ def test_unreachable_poi_exits_with_config_error(tmp_path, capsys):
     assert main(["validate", str(path)]) == EXIT_CONFIG
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert capsys.readouterr().err.count("outside the solve box") == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_unknown_key_exits_with_config_error(tmp_path, capsys):
+    path = write_small_scenario(tmp_path, nlos_probabilty=0.3)
+    assert main(["validate", str(path)]) == EXIT_CONFIG
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.count("unknown key 'nlos_probabilty'") == 2
     assert not (tmp_path / "out").exists()
 
 

@@ -1,11 +1,23 @@
 """Scenario schema, presets, and YAML loading."""
 
+import math
+import re
+import textwrap
 from dataclasses import replace
 
 import yaml
 import pytest
 
-from irlspos import ConfigError, Position2D, SolverSettings, load_config
+from irlspos import (
+    BandProfile,
+    BiasModel,
+    ConfigError,
+    IrlsSettings,
+    Position2D,
+    SolverSettings,
+    config,
+    load_config,
+)
 from irlspos.config import config_from_mapping, config_to_mapping
 from irlspos.presets import PRESET_NAMES, get_preset
 
@@ -45,18 +57,23 @@ def test_two_station_config_rejected():
 
 
 def test_yaml_round_trip(tmp_path):
-    cfg = get_preset("semidynamic_cband")
-    path = tmp_path / "scenario.yaml"
-    path.write_text(yaml.safe_dump(config_to_mapping(cfg), sort_keys=False))
-    loaded = load_config(path)
-    assert loaded.stations == cfg.stations
-    assert loaded.pois == cfg.pois
-    assert loaded.band == cfg.band
-    assert loaded.bias_model == cfg.bias_model
-    assert loaded.nlos_probability == cfg.nlos_probability
-    assert loaded.root_seed == cfg.root_seed
-    assert loaded.solver == cfg.solver
-    assert loaded.irls == cfg.irls
+    # the last config sets every field the presets leave at None or default
+    configs = [get_preset(name) for name in PRESET_NAMES]
+    configs.append(
+        replace(
+            configs[0],
+            name="variant",
+            bias_model=BiasModel(kind="fixed", value_m=2.0),
+            solver=SolverSettings(initial_guess=Position2D(1.0, 2.0)),
+            noise_override_m=0.5,
+            projected_3d=True,
+            transmit_power_dbm=None,
+        )
+    )
+    for cfg in configs:
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(config_to_mapping(cfg), sort_keys=False))
+        assert load_config(path) == cfg, cfg.name
 
 
 def test_missing_file_mentions_presets(tmp_path):
@@ -109,6 +126,12 @@ def test_field_specific_errors(mutate, message):
     mutate(raw)
     with pytest.raises(ConfigError, match=message):
         config_from_mapping(raw)
+
+
+def _zero_bandwidth(raw):
+    # with no symbol period to go on, this raised ZeroDivisionError
+    raw["band"]["bandwidth_hz"] = 0
+    del raw["band"]["symbol_period_s"]
 
 
 # malformed scalars: never exit 1, never truncated
@@ -171,6 +194,18 @@ def test_field_specific_errors(mutate, message):
             "poi_height_m",
             id="inf-poi-height",
         ),
+        pytest.param(_zero_bandwidth, "bandwidth_hz", id="zero-bandwidth-derived-symbol-period"),
+        pytest.param(
+            lambda r: r["solver"].__setitem__("initial_guess", [1.0]),
+            "initial_guess",
+            id="short-initial-guess",
+        ),
+        pytest.param(
+            lambda r: r["solver"].__setitem__("initial_guess", ["a", 2.0]),
+            "initial_guess",
+            id="text-initial-guess",
+        ),
+        pytest.param(lambda r: r.__setitem__("irls", None), "irls", id="null-irls"),
     ],
 )
 def test_malformed_scalars_are_config_errors(mutate, message):
@@ -180,26 +215,178 @@ def test_malformed_scalars_are_config_errors(mutate, message):
         config_from_mapping(raw)
 
 
-# the same scalars set on the dataclass, past the YAML readers: a NaN noise
-# override used to fail only at the first trial's ToA check, and a text
-# projected_3d counted as true
+def _scenario(**fields):
+    return replace(get_preset("static_cband"), **fields)
+
+
+def _band(**fields):
+    return replace(get_preset("static_cband").band, **fields)
+
+
+def _derived_band(**fields):
+    # no symbol period given: with_defaults derives it from bandwidth and rolloff
+    given = {"carrier_frequency_hz": 3.775e9, "bandwidth_hz": 1e8, "subcarrier_spacing_hz": 3e4}
+    return BandProfile.with_defaults(**{**given, **fields})
+
+
+# fields set in code follow the type rule of the YAML readers: each case
+# names its field in a ConfigError, where a text, None or list value used to
+# raise TypeError, a NaN noise override failed only at the first trial's ToA
+# check, and a text projected_3d counted as true
 @pytest.mark.parametrize(
-    "field,value",
+    "build,field,value",
     [
-        pytest.param("noise_override_m", float("nan"), id="nan-noise-override"),
-        pytest.param("noise_override_m", float("inf"), id="inf-noise-override"),
-        pytest.param("noise_override_m", -0.5, id="negative-noise-override"),
-        pytest.param("station_height_m", float("nan"), id="nan-station-height"),
-        pytest.param("station_height_m", float("inf"), id="inf-station-height"),
-        pytest.param("poi_height_m", float("nan"), id="nan-poi-height"),
-        pytest.param("poi_height_m", float("-inf"), id="inf-poi-height"),
-        pytest.param("projected_3d", "yes", id="text-projected-3d"),
-        pytest.param("projected_3d", 1, id="integer-projected-3d"),
+        pytest.param(_scenario, "noise_override_m", float("nan"), id="nan-noise-override"),
+        pytest.param(_scenario, "noise_override_m", float("inf"), id="inf-noise-override"),
+        pytest.param(_scenario, "noise_override_m", -0.5, id="negative-noise-override"),
+        pytest.param(_scenario, "station_height_m", float("nan"), id="nan-station-height"),
+        pytest.param(_scenario, "station_height_m", float("inf"), id="inf-station-height"),
+        pytest.param(_scenario, "poi_height_m", float("nan"), id="nan-poi-height"),
+        pytest.param(_scenario, "poi_height_m", float("-inf"), id="inf-poi-height"),
+        pytest.param(_scenario, "projected_3d", "yes", id="text-projected-3d"),
+        pytest.param(_scenario, "projected_3d", 1, id="integer-projected-3d"),
+        pytest.param(_scenario, "nlos_probability", "abc", id="text-probability"),
+        pytest.param(_scenario, "schedule_period_s", None, id="none-schedule-period"),
+        pytest.param(_scenario, "station_height_m", [4.0], id="list-station-height"),
+        pytest.param(_scenario, "nlos_probability", True, id="bool-probability"),
+        pytest.param(_scenario, "trials_per_poi", None, id="none-trials"),
+        pytest.param(_scenario, "root_seed", "7", id="text-seed"),
+        pytest.param(_scenario, "noise_override_m", "x", id="text-noise-override"),
+        pytest.param(_scenario, "transmit_power_dbm", [20.0], id="list-transmit-power"),
+        pytest.param(SolverSettings, "max_iterations", "50", id="solver-text-max-iterations"),
+        pytest.param(SolverSettings, "bounds_margin_m", None, id="solver-none-margin"),
+        pytest.param(SolverSettings, "step_tolerance_m", [1e-6], id="solver-list-tolerance"),
+        pytest.param(SolverSettings, "bounds_margin_m", True, id="solver-bool-margin"),
+        pytest.param(SolverSettings, "initial_guess", (1.0, 2.0), id="solver-tuple-guess"),
+        pytest.param(SolverSettings, "initial_guess", [1.0, 2.0], id="solver-list-guess"),
+        pytest.param(IrlsSettings, "u_max_m", "abc", id="irls-text-u-max"),
+        pytest.param(IrlsSettings, "epsilon_m", None, id="irls-none-epsilon"),
+        pytest.param(IrlsSettings, "max_iterations", [100], id="irls-list-max-iterations"),
+        pytest.param(IrlsSettings, "u_max_m", True, id="irls-bool-u-max"),
+        pytest.param(IrlsSettings, "epsilon_m", math.inf, id="irls-inf-epsilon"),
+        pytest.param(BiasModel, "value_m", "abc", id="bias-text-value"),
+        pytest.param(BiasModel, "value_m", None, id="bias-none-value"),
+        pytest.param(BiasModel, "value_m", [3.0], id="bias-list-value"),
+        pytest.param(BiasModel, "value_m", True, id="bias-bool-value"),
+        pytest.param(_band, "bandwidth_hz", "abc", id="band-text-bandwidth"),
+        pytest.param(_band, "snr_linear", None, id="band-none-snr"),
+        pytest.param(_band, "rolloff", [0.25], id="band-list-rolloff"),
+        pytest.param(_band, "carrier_frequency_hz", True, id="band-bool-carrier"),
+        pytest.param(_derived_band, "bandwidth_hz", "abc", id="band-defaults-text-bandwidth"),
+        pytest.param(_derived_band, "rolloff", None, id="band-defaults-none-rolloff"),
     ],
 )
-def test_malformed_fields_set_in_code_are_config_errors(field, value):
+def test_malformed_fields_set_in_code_are_config_errors(build, field, value):
     with pytest.raises(ConfigError, match=field):
-        replace(get_preset("static_cband"), **{field: value})
+        build(**{field: value})
+
+
+# one value through the file and through the dataclass: the same outcome
+@pytest.mark.parametrize(
+    "section,field,value,expected",
+    [
+        pytest.param("irls", "epsilon_m", math.inf, None, id="inf-epsilon"),
+        pytest.param("solver", "max_iterations", 50.0, 50, id="integral-max-iterations"),
+        pytest.param(None, "trials_per_poi", 3.0, 3, id="integral-trials"),
+        pytest.param(None, "noise_override_m", "1", 1.0, id="text-noise-override"),
+    ],
+)
+def test_yaml_and_code_read_a_value_alike(section, field, value, expected):
+    cfg = get_preset("static_cband")
+    raw = config_to_mapping(cfg)
+    (raw[section] if section else raw)[field] = value
+
+    def from_code():
+        if section is None:
+            return replace(cfg, **{field: value})
+        return replace(cfg, **{section: replace(getattr(cfg, section), **{field: value})})
+
+    for build in (lambda: config_from_mapping(raw), from_code):
+        if expected is None:
+            with pytest.raises(ConfigError, match=field):
+                build()
+            continue
+        got = build()
+        got = getattr(getattr(got, section) if section else got, field)
+        assert got == expected and type(got) is type(expected)
+
+
+# a misspelt key used to be dropped: the typo below loaded as an all-LoS scenario
+@pytest.mark.parametrize(
+    "mutate,message",
+    [
+        pytest.param(
+            lambda r: r.__setitem__("nlos_probabilty", 0.3),
+            "config: unknown key 'nlos_probabilty'",
+            id="top-level",
+        ),
+        pytest.param(
+            lambda r: r["solver"].__setitem__("max_iteration", 50),
+            "solver: unknown key 'max_iteration'",
+            id="solver",
+        ),
+        pytest.param(
+            lambda r: r["irls"].__setitem__("umax", 1.0), "irls: unknown key 'umax'", id="irls"
+        ),
+        pytest.param(
+            lambda r: r["band"].__setitem__("bandwith_hz", 1e8),
+            "band: unknown key 'bandwith_hz'",
+            id="band",
+        ),
+        pytest.param(
+            lambda r: r["bias_model"].__setitem__("value_m", 3.0),
+            "bias_model: unknown key 'value_m'",
+            id="exponential-bias-value",
+        ),
+        pytest.param(
+            lambda r: r["stations"][0].__setitem__("z", 4.0),
+            r"stations\[0\]: unknown key 'z'",
+            id="station",
+        ),
+        pytest.param(
+            lambda r: r["pois"][0].__setitem__("z", 1.0), r"pois\[0\]: unknown key 'z'", id="poi"
+        ),
+    ],
+)
+def test_unknown_keys_are_config_errors(mutate, message):
+    raw = config_to_mapping(get_preset("semidynamic_cband"))
+    mutate(raw)
+    with pytest.raises(ConfigError, match=message):
+        config_from_mapping(raw)
+
+
+def _schema_block():
+    doc = config.__doc__
+    block = doc[doc.index("\n\n    ") : doc.index("\n\n", doc.index("\n\n    ") + 2)]
+    return textwrap.dedent(block)
+
+
+def _keys_in(data):
+    if isinstance(data, dict):
+        return set(data) | {k for v in data.values() for k in _keys_in(v)}
+    if isinstance(data, list):
+        return {k for v in data for k in _keys_in(v)}
+    return set()
+
+
+def test_schema_docstring_loads_as_a_scenario():
+    cfg = config_from_mapping(yaml.safe_load(_schema_block()))
+    assert cfg.name == "my_scenario"
+    assert cfg.band.snr_linear == pytest.approx(100.0)
+
+
+def test_schema_docstring_names_every_accepted_key():
+    # what the writer emits for both bias kinds, with every optional field set,
+    # plus snr_db, the reader's alternative to snr_linear
+    exponential = replace(
+        get_preset("static_cband"), solver=SolverSettings(initial_guess=Position2D(1.0, 2.0))
+    )
+    fixed = replace(exponential, bias_model=BiasModel(kind="fixed", value_m=1.0))
+    accepted = _keys_in(config_to_mapping(exponential)) | _keys_in(config_to_mapping(fixed))
+    accepted.add("snr_db")
+    assert len(accepted) == 36
+    for key in sorted(accepted):
+        assert re.search(rf"\b{key}\b", config.__doc__), key
 
 
 # the same scalars set in code: each used to pass and fail later in run_batch
