@@ -1,6 +1,12 @@
 """Robust TDoA indoor positioning with reference rotation and Andrews-sine
 outlier rejection, plus a parametric multipath ToA emulator and a
-Monte-Carlo benchmark harness."""
+Monte-Carlo benchmark harness.
+
+The names below are the library's API: ``irls_position``, ``run_batch``
+and the types they take and return, plus the emulator and its helpers. The
+per-reference layer that ``irls_position`` runs (``compute_tdoas``,
+``RangeDifferenceSet``, ``solve_single_reference``, ``solve_all_references``)
+trusts the epoch checks made at its edge, and is imported from its modules."""
 
 from .channel import (
     BandProfile,
@@ -40,14 +46,8 @@ from .irls import (
     irls_position,
     weighted_average,
 )
-from .lsq import (
-    CandidateEstimate,
-    SolverSettings,
-    solve_all_references,
-    solve_single_reference,
-)
+from .lsq import CandidateEstimate, SolverSettings
 from .presets import PRESET_NAMES, get_preset
-from .tdoa import RangeDifferenceSet, compute_tdoas
 
 __version__ = "0.1.0"
 
@@ -67,14 +67,12 @@ __all__ = [
     "Position2D",
     "PositionEstimate",
     "PRESET_NAMES",
-    "RangeDifferenceSet",
     "SampledWaveform",
     "ScenarioConfig",
     "SolverSettings",
     "TrialBatch",
     "TrialRecord",
     "andrews_weight",
-    "compute_tdoas",
     "emulate_measurement_set",
     "estimate_toa_from_waveform",
     "euclidean_distance",
@@ -85,8 +83,6 @@ __all__ = [
     "make_multipath_components",
     "raised_cosine_pulse",
     "run_batch",
-    "solve_all_references",
-    "solve_single_reference",
     "summarize",
     "synthesize_received_waveform",
     "toa_noise_std",

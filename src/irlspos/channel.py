@@ -117,20 +117,19 @@ class MultipathComponent:
 
 @dataclass(frozen=True)
 class LinkState:
-    """LoS/NLoS condition of one station-UE link for one epoch."""
+    """LoS/NLoS condition of one station-UE link for one epoch: a link is
+    LoS exactly when it adds no excess range."""
 
     station_id: int
-    is_los: bool
     nlos_bias_m: float = 0.0
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.nlos_bias_m) or self.nlos_bias_m < 0:
             raise ConfigError(f"nlos_bias_m must be finite and >= 0, got {self.nlos_bias_m!r}")
-        if self.is_los != (self.nlos_bias_m == 0.0):
-            raise ConfigError(
-                f"link {self.station_id}: nlos_bias_m must be 0 exactly when the link "
-                f"is LoS (is_los={self.is_los}, nlos_bias_m={self.nlos_bias_m})"
-            )
+
+    @property
+    def is_los(self) -> bool:
+        return self.nlos_bias_m == 0.0
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,13 @@ class Position2D:
     y: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"coordinates must be finite, got ({self.x}, {self.y})")
+        try:
+            if math.isfinite(self.x) and math.isfinite(self.y):
+                return
+        except (TypeError, OverflowError):
+            pass
+        name = "y" if _is_finite(self.x) else "x"
+        raise ConfigError(f"coordinate {name} must be a finite number, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -51,6 +56,13 @@ def euclidean_distance(a: Position2D, b: Position2D) -> float:
 def true_first_toa(ue: Position2D, bs: BaseStation) -> float:
     """Propagation time of the direct path from a station to the UE, in seconds."""
     return euclidean_distance(ue, bs.position) / SPEED_OF_LIGHT_M_S
+
+
+def _is_finite(value: object) -> bool:
+    try:
+        return math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
 
 
 def is_int(value: object) -> bool:

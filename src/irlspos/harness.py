@@ -88,9 +88,7 @@ def draw_link_states(cfg: ScenarioConfig, rng: np.random.Generator) -> list[Link
     for st in sorted_stations(cfg.stations):
         nlos = bool(rng.random() < cfg.nlos_probability)
         bias = cfg.bias_model.draw(rng) if nlos else 0.0
-        links.append(
-            LinkState(station_id=st.id, is_los=(bias == 0.0), nlos_bias_m=bias)
-        )
+        links.append(LinkState(station_id=st.id, nlos_bias_m=bias))
     return links
 
 

@@ -10,10 +10,11 @@ exceeds ``u_max``. Candidates are solved once, before the loop; only the
 weights and the fused position update per iteration.
 
 Each epoch's range differences are formed once: every candidate carries the
-set it was solved from, and the loop reads its reference's coordinates and
-measured differences from those sets, resolved to plain coordinate tuples
-before the first iteration. The station layout is checked once, on entry,
-and the checked layout is what the candidate solves receive.
+reference rows it was solved from (its reference's coordinates, and each
+other station's coordinates with its measured difference, as plain floats),
+and the loop reads those rows. A plain station list is checked once, by
+:func:`~irlspos.lsq.solve_all_references`, which also matches the epoch's
+stations against it and hands the checked layout to every candidate solve.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .geometry import (
     StationLayout,
     as_integer,
     as_number,
-    check_station_layout,
     euclidean_distance,
     read_fields,
 )
@@ -38,7 +38,6 @@ from .lsq import (
     CandidateEstimate,
     ReferenceRows,
     SolverSettings,
-    reference_rows,
     residuals_at,
     solve_all_references,
 )
@@ -149,11 +148,14 @@ def irls_position(
     the same iteration, the current fused estimate is returned unchanged
     with all-zero weights and ``degenerate`` set instead of dividing by
     zero during normalization.
+
+    Raises GeometryError for a station list that cannot support a fix
+    (fewer than three stations, repeated ids, all collinear) and ValueError
+    for an epoch whose station ids differ from the layout's.
     """
     irls = irls or IrlsSettings()
-    layout = check_station_layout(stations)
-    candidates = tuple(solve_all_references(m, layout, ls))
-    geometries = [reference_rows(c.range_differences, layout) for c in candidates]
+    candidates = tuple(solve_all_references(m, stations, ls))
+    geometries = [c.rows for c in candidates]
 
     n = len(candidates)
     q_wa = weighted_average(candidates, [1.0 / n] * n)

@@ -31,10 +31,14 @@ clip on and returns that iterate as soon as one repeats: the result equals,
 bit for bit, the one the capped loop would return. A cycle it does not
 notice only costs time.
 
-Each candidate carries the range differences it was solved from, so the
-reweighting stage reuses them instead of forming them again. The box, its
+Each candidate carries the reference rows it was solved from, so the
+reweighting stage reads them instead of forming them again. The box, its
 diagonal, the centroid and the station coordinates come from the checked
-:class:`~irlspos.geometry.StationLayout`, so a plain station list is checked once.
+:class:`~irlspos.geometry.StationLayout`, so a plain station list is checked
+once. An epoch is checked once, at the fix's edge: its
+:class:`~irlspos.channel.MeasurementSet` when it is built, and its station
+ids against the layout in :func:`solve_all_references`. Range differences
+and rows are formed below that edge without further checks.
 """
 
 from __future__ import annotations
@@ -99,24 +103,20 @@ class SolverSettings:
 @dataclass(frozen=True)
 class CandidateEstimate:
     """Position estimate obtained with one particular reference station,
-    with the range differences it was solved from."""
+    with the reference rows it was solved from."""
 
     reference_id: int
     position: Position2D
     residual_norm_m: float
     converged: bool
     iterations_used: int
-    range_differences: RangeDifferenceSet
+    rows: ReferenceRows
 
 
 def reference_rows(rd: RangeDifferenceSet, layout: StationLayout) -> ReferenceRows:
-    """The reference's coordinates and (x_n, y_n, delta_d_n) per entry."""
+    """The reference's coordinates and (x_n, y_n, delta_d_n) per entry, for
+    range differences over the layout's stations."""
     positions = layout.positions
-    if rd.reference_id not in positions:
-        raise ValueError(f"reference station {rd.reference_id} not in station list")
-    missing = [sid for sid in rd.station_ids if sid not in positions]
-    if missing:
-        raise ValueError(f"range differences reference unknown stations {missing}")
     ref = positions[rd.reference_id]
     rows = tuple((positions[sid].x, positions[sid].y, dd) for sid, dd in rd.entries)
     return (ref.x, ref.y), rows
@@ -201,6 +201,10 @@ def solve_single_reference(
     reach at ``max_iterations``; ``iterations_used`` then reads
     ``max_iterations``, the iterations that iterate stands for, not the
     steps taken.
+
+    ``rd`` must come from :func:`~irlspos.tdoa.compute_tdoas` on an epoch
+    over exactly the layout's stations, as :func:`solve_all_references`
+    ensures; it is not checked again here.
     """
     settings = settings or SolverSettings()
     layout = check_station_layout(stations)
@@ -265,7 +269,7 @@ def solve_single_reference(
         residual_norm_m=math.sqrt(math.fsum(r * r for r in residuals)),
         converged=converged,
         iterations_used=iterations,
-        range_differences=rd,
+        rows=geometry,
     )
 
 
@@ -277,7 +281,9 @@ def solve_all_references(
     """One candidate per reference choice, ascending by reference id.
 
     Candidates that fail to converge are kept (flagged, not dropped); the
-    downstream weighting stage decides how much they count.
+    downstream weighting stage decides how much they count. A measurement
+    set whose station ids differ from the layout's raises ValueError naming
+    both.
     """
     layout = check_station_layout(stations)
     if set(m.station_ids) != layout.positions.keys():

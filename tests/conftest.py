@@ -40,10 +40,7 @@ def band():
 def exact_measurements(ue, stations, band, biases=None, schedule_period_s=0.0):
     """Noise-free measurement set; ``biases`` maps station id -> excess meters."""
     biases = biases or {}
-    links = [
-        LinkState(s.id, is_los=(biases.get(s.id, 0.0) == 0.0), nlos_bias_m=biases.get(s.id, 0.0))
-        for s in stations
-    ]
+    links = [LinkState(s.id, nlos_bias_m=biases.get(s.id, 0.0)) for s in stations]
     return emulate_measurement_set(
         ue,
         stations,

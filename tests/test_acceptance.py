@@ -58,7 +58,6 @@ from irlspos import (
     euclidean_distance,
     irls_position,
     run_batch,
-    solve_single_reference,
     summarize,
     synthesize_received_waveform,
     toa_noise_std,
@@ -66,6 +65,7 @@ from irlspos import (
 )
 from irlspos.channel import LinkState, emulate_measurement_set
 from irlspos.harness import METHOD_IRLS, METHOD_LS, export_results
+from irlspos.lsq import solve_single_reference
 from irlspos.presets import cband_profile, corner_stations, get_preset
 from irlspos.tdoa import compute_tdoas
 from conftest import AOI_H, AOI_W, exact_measurements
@@ -235,7 +235,7 @@ def test_criterion_5_grid_search_oracle():
             for s in STATIONS
         ]
         ue = Position2D(*rng.uniform([3.0, 3.0], [AOI_W - 3.0, AOI_H - 3.0]))
-        links = [LinkState(s.id, True, 0.0) for s in stations]
+        links = [LinkState(s.id) for s in stations]
         m = emulate_measurement_set(
             ue, stations, links, CBAND, rng_seed=rng, noise_std_m=0.01
         )

@@ -73,6 +73,25 @@ def test_measurement_set_rejects_non_integer_station_ids(bad_id):
         MeasurementSet(0, ((bad_id, 1e-8), (2, 2e-8), (3, 3e-8)))
 
 
+GOOD_SAMPLES = ((1, 1e-8), (2, 2e-8), (3, 3e-8))
+
+
+# the fix trusts what a measurement set checked when it was built
+@pytest.mark.parametrize(
+    "samples,schedule_period_s,match",
+    [
+        pytest.param(((1, 1e-8), (2, 2e-8), (1, 3e-8)), 0.0, "duplicate station ids", id="duplicate-id"),
+        pytest.param(((1, 1e-8), (2, math.nan), (3, 3e-8)), 0.0, "non-finite ToA", id="nan-toa"),
+        pytest.param(((1, 1e-8), (2, 2e-8), (3, math.inf)), 0.0, "non-finite ToA", id="inf-toa"),
+        pytest.param(GOOD_SAMPLES, -1e-3, "schedule_period_s", id="negative-period"),
+        pytest.param(GOOD_SAMPLES, math.nan, "schedule_period_s", id="nan-period"),
+    ],
+)
+def test_measurement_set_rejects_malformed_epochs(samples, schedule_period_s, match):
+    with pytest.raises(ConfigError, match=match):
+        MeasurementSet(0, samples, schedule_period_s)
+
+
 # --- noise model --------------------------------------------------------------
 
 def test_noise_std_direct_value():
@@ -304,7 +323,7 @@ def test_emulator_bias_adds_exact_range(stations, band):
 
 def test_emulator_is_deterministic(stations, band):
     ue = Position2D(12.0, 9.0)
-    links = [LinkState(s.id, True, 0.0) for s in stations]
+    links = [LinkState(s.id) for s in stations]
     m1 = emulate_measurement_set(ue, stations, links, band, rng_seed=123)
     m2 = emulate_measurement_set(ue, stations, links, band, rng_seed=123)
     assert m1 == m2
@@ -314,7 +333,7 @@ def test_emulator_is_deterministic(stations, band):
 
 
 def test_emulator_rejects_link_mismatch(stations, band):
-    links = [LinkState(s.id, True, 0.0) for s in stations[:-1]]
+    links = [LinkState(s.id) for s in stations[:-1]]
     with pytest.raises(ConfigError, match="link states"):
         emulate_measurement_set(Position2D(1, 1), stations, links, band, 0)
 
@@ -323,7 +342,7 @@ def test_emulator_noise_is_unbiased(stations, band):
     # mean of (measured - true) over 10^4 draws within 4 sigma / sqrt(n) of zero
     ue = Position2D(10.0, 10.0)
     st = stations[0]
-    links = [LinkState(s.id, True, 0.0) for s in stations]
+    links = [LinkState(s.id) for s in stations]
     sigma = toa_noise_std(band)
     n = 10_000
     rng = np.random.default_rng(7)
@@ -338,7 +357,7 @@ def test_emulator_noise_is_unbiased(stations, band):
 
 def test_emulator_projected_3d_offset(stations, band):
     ue = Position2D(10.0, 10.0)
-    links = [LinkState(s.id, True, 0.0) for s in stations]
+    links = [LinkState(s.id) for s in stations]
     m = emulate_measurement_set(
         ue, stations, links, band, 0, noise_std_m=0.0, height_difference_m=3.0
     )
@@ -348,10 +367,12 @@ def test_emulator_projected_3d_offset(stations, band):
 
 
 def test_link_state_invariant():
-    with pytest.raises(ConfigError, match="nlos_bias"):
-        LinkState(1, is_los=True, nlos_bias_m=2.0)
-    with pytest.raises(ConfigError, match="nlos_bias"):
-        LinkState(1, is_los=False, nlos_bias_m=0.0)
+    # a link is LoS exactly when it adds no excess range
+    assert LinkState(1).is_los
+    assert not LinkState(1, nlos_bias_m=2.0).is_los
+    for bias in (-0.5, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="nlos_bias"):
+            LinkState(1, nlos_bias_m=bias)
 
 
 def test_import_leaves_scipy_signal_unloaded():

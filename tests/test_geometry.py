@@ -8,6 +8,7 @@ import pytest
 from irlspos import (
     SPEED_OF_LIGHT_M_S,
     BaseStation,
+    ConfigError,
     GeometryError,
     Position2D,
     euclidean_distance,
@@ -85,6 +86,19 @@ def test_position_rejects_non_finite():
         Position2D(float("nan"), 0.0)
     with pytest.raises(ValueError):
         Position2D(0.0, float("inf"))
+
+
+# a coordinate set in code is checked like a scenario field: TypeError from
+# math.isfinite used to escape for text, None and lists
+@pytest.mark.parametrize("coordinate", ["x", "y"])
+@pytest.mark.parametrize(
+    "value",
+    [float("nan"), float("inf"), "a", "1", None, [1.0], 10**400],
+    ids=["nan", "inf", "text", "numeric-text", "none", "list", "huge-int"],
+)
+def test_position_rejects_malformed_coordinates(coordinate, value):
+    with pytest.raises(ConfigError, match=f"coordinate {coordinate} must be a finite number"):
+        Position2D(**{"x": 1.0, "y": 2.0, coordinate: value})
 
 
 def test_layout_needs_three_stations():

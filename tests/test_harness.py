@@ -8,7 +8,6 @@ from irlspos import (
     euclidean_distance,
     irls_position,
     run_batch,
-    solve_single_reference,
     summarize,
 )
 from irlspos.config import BiasModel
@@ -21,6 +20,7 @@ from irlspos.harness import (
     export_results,
     trial_rngs,
 )
+from irlspos.lsq import solve_single_reference
 from irlspos.presets import get_preset
 from irlspos.tdoa import compute_tdoas
 from conftest import fingerprint

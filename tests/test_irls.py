@@ -7,6 +7,7 @@ under the threshold).
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,20 +16,22 @@ from hypothesis import strategies as st
 
 from irlspos import (
     BaseStation,
+    GeometryError,
     IrlsSettings,
     LinkState,
+    MeasurementSet,
     Position2D,
     andrews_weight,
     emulate_measurement_set,
     euclidean_distance,
     irls_position,
-    solve_all_references,
     weighted_average,
 )
-from irlspos.channel import MeasurementSet
+from irlspos import irls as irls_module
+from irlspos import lsq, tdoa
 from irlspos.geometry import check_station_layout
 from irlspos.irls import _uncertainty
-from irlspos.lsq import reference_rows
+from irlspos.lsq import CandidateEstimate, reference_rows, solve_all_references
 from irlspos.presets import cband_profile, corner_stations
 from irlspos.tdoa import compute_tdoas
 from conftest import AOI_H, AOI_W, exact_measurements, fixes
@@ -173,13 +176,8 @@ def test_uncertainty_biased_reference_sees_full_bias(stations, band):
 # --- weighted average ------------------------------------------------------------------
 
 def _cands_at(points):
-    from irlspos.lsq import CandidateEstimate
-    from irlspos.tdoa import RangeDifferenceSet
-
     return [
-        CandidateEstimate(
-            i + 1, Position2D(*p), 0.0, True, 1, RangeDifferenceSet(i + 1, ())
-        )
+        CandidateEstimate(i + 1, Position2D(*p), 0.0, True, 1, (p, ()))
         for i, p in enumerate(points)
     ]
 
@@ -253,7 +251,7 @@ def test_moderate_bias_matches_scripted_oracle(stations, band):
         biased = int(rng.integers(1, 5))
         bias = float(rng.uniform(0.5, 4.0))
         links = [
-            LinkState(s.id, s.id != biased, bias if s.id == biased else 0.0)
+            LinkState(s.id, bias if s.id == biased else 0.0)
             for s in sorted({s.id: s for s in stations}.values(), key=lambda s: s.id)
         ]
         m = emulate_measurement_set(
@@ -269,14 +267,19 @@ def test_moderate_bias_matches_scripted_oracle(stations, band):
             assert w == pytest.approx(oracle["weights"][sid], abs=1e-9)
 
 
+def ring_stations(n):
+    """``n`` stations on an ellipse around the hall's center."""
+    return [
+        BaseStation(i + 1, Position2D(14.5 + 13.0 * math.cos(a), 12.5 + 11.0 * math.sin(a)))
+        for i, a in enumerate(np.linspace(0, 2 * math.pi, n, endpoint=False))
+    ]
+
+
 def test_outlier_rejection_hard_cutoff_many_stations(band):
     # with enough rotations to dilute the contamination, the biased
     # reference is hard-rejected while clean references keep weight:
     # bias 5 m >> u_max = 1 m, clean uncertainties ~ 5/11 m
-    stations = [
-        BaseStation(i + 1, Position2D(14.5 + 13.0 * math.cos(a), 12.5 + 11.0 * math.sin(a)))
-        for i, a in enumerate(np.linspace(0, 2 * math.pi, 12, endpoint=False))
-    ]
+    stations = ring_stations(12)
     ue = Position2D(13.0, 11.0)
     m = exact_measurements(ue, stations, band, biases={3: 5.0})
     est = irls_position(m, stations, irls=IrlsSettings(u_max_m=1.0))
@@ -300,7 +303,7 @@ def test_four_station_bias_at_5x_cutoff_still_zeroes_biased_weight(stations, ban
 
 def test_weights_sum_to_one_on_noisy_instances(stations, band):
     rng = np.random.default_rng(15)
-    links = [LinkState(s.id, True, 0.0) for s in stations]
+    links = [LinkState(s.id) for s in stations]
     for trial in range(10):
         ue = Position2D(*rng.uniform([2, 2], [AOI_W - 2, AOI_H - 2]))
         m = emulate_measurement_set(ue, stations, links, band, rng_seed=trial)
@@ -316,6 +319,53 @@ def test_iteration_budget_is_respected(stations, band):
         m, stations, irls=IrlsSettings(epsilon_m=1e-15, max_iterations=7)
     )
     assert est.iterations <= 7
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_each_reference_is_formed_once_per_fix(n, band, monkeypatch):
+    # one range-difference set and one set of solver rows per reference: the
+    # candidates carry their rows into the loop, which forms none again
+    stations = ring_stations(n)
+    m = exact_measurements(Position2D(13.0, 11.0), stations, band, biases={2: 2.0})
+    calls = dict.fromkeys(("compute_tdoas", "reference_rows"), 0)
+    for name in calls:
+        original = getattr(lsq, name)
+
+        def counting(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        for module in (tdoa, lsq, irls_module):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    irls_position(m, stations)
+    assert calls == {"compute_tdoas": n, "reference_rows": n}
+
+
+# --- the fix's edge ------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "epoch_ids",
+    [
+        pytest.param((1, 2, 3), id="missing"),
+        pytest.param((1, 2, 3, 4, 5), id="extra"),
+        pytest.param((1, 2, 3, 5), id="swapped"),
+    ],
+)
+def test_station_set_mismatch_is_rejected(epoch_ids, stations):
+    # the one check of an epoch against the layout; below it, range
+    # differences and solver rows are formed unchecked
+    m = MeasurementSet(epoch_id=0, samples=tuple((sid, sid * 1e-8) for sid in epoch_ids))
+    expected = f"measurement set stations {epoch_ids} do not match layout (1, 2, 3, 4)"
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        irls_position(m, stations)
+
+
+def test_two_station_epoch_is_rejected():
+    stations = [BaseStation(1, Position2D(0, 0)), BaseStation(2, Position2D(10, 0))]
+    m = MeasurementSet(epoch_id=0, samples=((1, 1e-8), (2, 2e-8)))
+    with pytest.raises(GeometryError, match="need at least 3 stations, got 2"):
+        irls_position(m, stations)
 
 
 # a permutation of up to 8 items: ORDERS draws it, reorder applies it

@@ -12,18 +12,21 @@ from irlspos import (
     BaseStation,
     GeometryError,
     Position2D,
-    RangeDifferenceSet,
     SolverSettings,
     euclidean_distance,
-    solve_all_references,
-    solve_single_reference,
 )
 from irlspos import lsq
 from irlspos.geometry import check_station_layout
 from irlspos.harness import emulate_trial_measurements, run_batch
-from irlspos.lsq import _gauss_newton_step, reference_rows, residuals_at
+from irlspos.lsq import (
+    _gauss_newton_step,
+    reference_rows,
+    residuals_at,
+    solve_all_references,
+    solve_single_reference,
+)
 from irlspos.presets import PRESET_NAMES, cband_profile, corner_stations, get_preset
-from irlspos.tdoa import compute_tdoas
+from irlspos.tdoa import RangeDifferenceSet, compute_tdoas
 from conftest import AOI_H, AOI_W, exact_measurements, fixes, station_layouts, translated
 
 
@@ -53,7 +56,7 @@ def residual_vector_and_jacobian(p, rd, stations):
     """
     index = {s.id: s for s in stations}
     coords = np.array(
-        [(index[sid].position.x, index[sid].position.y) for sid in rd.station_ids]
+        [(index[sid].position.x, index[sid].position.y) for sid, _ in rd.entries]
     )
     deltas = np.array([dd for _, dd in rd.entries])
     ref = index[rd.reference_id].position
@@ -185,6 +188,7 @@ def test_candidates_match_lstsq_oracle_on_presets(preset, lstsq_calls):
     # bit for bit
     cfg = get_preset(preset).with_overrides(trials_per_poi=5)
     stations = sorted(cfg.stations, key=lambda s: s.id)
+    layout = check_station_layout(stations)
     solves = 0
     for poi_index in range(len(cfg.pois)):
         for trial_index in range(cfg.trials_per_poi):
@@ -193,13 +197,12 @@ def test_candidates_match_lstsq_oracle_on_presets(preset, lstsq_calls):
             candidates = solve_all_references(m, stations, cfg.solver)
             lstsq_calls["on"] = False
             for c in candidates:
-                assert c.range_differences == compute_tdoas(m, c.reference_id)
-                position, converged, iterations = lstsq_oracle(
-                    c.range_differences, stations, cfg.solver
-                )
+                rd = compute_tdoas(m, c.reference_id)
+                assert c.rows == reference_rows(rd, layout)
+                position, converged, iterations = lstsq_oracle(rd, stations, cfg.solver)
                 assert euclidean_distance(c.position, position) < 1e-9
                 assert (c.converged, c.iterations_used) == (converged, iterations)
-                exact = lstsq_oracle(c.range_differences, stations, cfg.solver, reference_step)
+                exact = lstsq_oracle(rd, stations, cfg.solver, reference_step)
                 assert (c.position, c.converged, c.iterations_used) == exact
                 solves += 1
     assert solves == len(cfg.pois) * 5 * len(stations)

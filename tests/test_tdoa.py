@@ -5,20 +5,19 @@ import pytest
 
 from irlspos import (
     BaseStation,
-    GeometryError,
+    ConfigError,
     MeasurementSet,
     Position2D,
-    compute_tdoas,
     euclidean_distance,
 )
-from irlspos.tdoa import RangeDifferenceSet
+from irlspos.tdoa import compute_tdoas
 from conftest import exact_measurements
 
 
 def test_identical_arrivals_give_zero():
     m = MeasurementSet(epoch_id=0, samples=((1, 5e-8), (2, 5e-8), (3, 5e-8)))
     rd = compute_tdoas(m, 1)
-    assert rd.station_ids == (2, 3)
+    assert [sid for sid, _ in rd.entries] == [2, 3]
     for _, dd in rd.entries:
         assert dd == 0.0
 
@@ -81,23 +80,12 @@ def test_zero_noise_tdoas_match_prediction_with_stagger(stations, band):
             assert dd == pytest.approx(expected, abs=1e-7)
 
 
-def test_unknown_reference_rejected():
-    m = MeasurementSet(epoch_id=0, samples=((1, 1e-8), (2, 2e-8), (3, 3e-8)))
-    with pytest.raises(ValueError, match="unknown reference"):
-        compute_tdoas(m, 9)
-
-
-def test_two_stations_rejected():
-    m = MeasurementSet(epoch_id=0, samples=((1, 1e-8), (2, 2e-8)))
-    with pytest.raises(GeometryError, match="at least 3"):
-        compute_tdoas(m, 1)
-
-
 def test_entries_exclude_reference_and_sort():
-    rd = RangeDifferenceSet(reference_id=2, entries=((3, 1.0), (1, -2.0)))
-    assert rd.station_ids == (1, 3)
-    with pytest.raises(ValueError, match="reference"):
-        RangeDifferenceSet(reference_id=1, entries=((1, 0.0), (2, 1.0)))
+    # the measurement set sorts its samples once; the entries keep that order
+    m = MeasurementSet(epoch_id=0, samples=((3, 3e-8), (1, 1e-8), (2, 2e-8)))
+    rd = compute_tdoas(m, 2)
+    assert rd.reference_id == 2
+    assert [sid for sid, _ in rd.entries] == [1, 3]
 
 
 @pytest.mark.parametrize(
@@ -105,6 +93,7 @@ def test_entries_exclude_reference_and_sort():
     [(1, ((2.7, 1.0), (3, 2.0))), (1, ((True, 1.0), (3, 2.0))), (1.5, ((2, 1.0), (3, 2.0)))],
 )
 def test_non_integer_station_ids_rejected(reference_id, entries):
-    # 2.7 used to be stored as station 2
-    with pytest.raises(ValueError, match="station id must be an integer"):
-        RangeDifferenceSet(reference_id=reference_id, entries=entries)
+    # station ids reach range differences only through a measurement set,
+    # which rejects them; 2.7 used to be stored as station 2
+    with pytest.raises(ConfigError, match="station id must be an integer"):
+        MeasurementSet(epoch_id=0, samples=((reference_id, 0.0), *entries))
