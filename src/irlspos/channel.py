@@ -36,6 +36,7 @@ from .geometry import (
     as_number,
     euclidean_distance,
     is_int,
+    read_fields,
     sorted_stations,
 )
 
@@ -124,8 +125,9 @@ class LinkState:
     nlos_bias_m: float = 0.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.nlos_bias_m) or self.nlos_bias_m < 0:
-            raise ConfigError(f"nlos_bias_m must be finite and >= 0, got {self.nlos_bias_m!r}")
+        read_fields(self, as_number, "nlos_bias_m")
+        if self.nlos_bias_m < 0:
+            raise ConfigError(f"nlos_bias_m must be >= 0, got {self.nlos_bias_m!r}")
 
     @property
     def is_los(self) -> bool:
@@ -153,27 +155,18 @@ class MeasurementSet:
         for sid, _ in self.samples:
             if not is_int(sid):
                 raise ConfigError(f"station id must be an integer, got {sid!r}")
-        ordered = tuple(sorted((sid, float(toa)) for sid, toa in self.samples))
+        ordered = tuple(sorted((sid, as_number(toa, "ToA")) for sid, toa in self.samples))
         object.__setattr__(self, "samples", ordered)
-        object.__setattr__(self, "schedule_period_s", float(self.schedule_period_s))
+        read_fields(self, as_number, "schedule_period_s")
         ids = [sid for sid, _ in ordered]
         if len(set(ids)) != len(ids):
             raise ConfigError(f"duplicate station ids in measurement set: {ids}")
-        for sid, toa in ordered:
-            if not math.isfinite(toa):
-                raise ConfigError(f"non-finite ToA for station {sid}: {toa!r}")
-        if not math.isfinite(self.schedule_period_s) or self.schedule_period_s < 0:
-            raise ConfigError(f"invalid schedule_period_s: {self.schedule_period_s!r}")
+        if self.schedule_period_s < 0:
+            raise ConfigError(f"schedule_period_s must be >= 0, got {self.schedule_period_s!r}")
 
     @property
     def station_ids(self) -> tuple[int, ...]:
         return tuple(sid for sid, _ in self.samples)
-
-    def toa(self, station_id: int) -> float:
-        for sid, toa in self.samples:
-            if sid == station_id:
-                return toa
-        raise ValueError(f"unknown station id {station_id} in measurement set")
 
     def transmission_offset(self, n: int, e: int) -> float:
         """Transmit-time offset delta_ne = (n - e) * schedule period, seconds."""

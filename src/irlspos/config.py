@@ -33,8 +33,7 @@ error. The block below is itself a valid scenario file:
     solver:
       max_iterations: 50
       step_tolerance_m: 1.0e-6
-      bounds_margin_m: 1.0
-      initial_guess: null             # or [x, y]; null starts at the station centroid
+      bounds_margin_m: 1.0            # solve box: station box plus this; start: station centroid
     irls: {u_max_m: 1.0, epsilon_m: 1.0e-3, max_iterations: 100}
     transmit_power_dbm: 20.0          # fidelity only, unused
 
@@ -247,26 +246,13 @@ def _bias_from_mapping(raw: Any) -> BiasModel:
     return BiasModel(kind=kind, value_m=bias[_bias_value_key(kind)])
 
 
-def _solver_from_mapping(raw: Any) -> SolverSettings:
-    solver = _checked(raw, "solver", _keys(SolverSettings))
-    guess = solver.get("initial_guess")
-    if guess is not None:
-        if not isinstance(guess, list) or len(guess) != 2:
-            raise ConfigError(f"solver: initial_guess: expected [x, y], got {guess!r}")
-        solver["initial_guess"] = Position2D(
-            *(as_number(v, "solver.initial_guess") for v in guess)
-        )
-    return _built(SolverSettings, "solver", solver)
-
-
 def config_from_mapping(raw: Any, name: str = "") -> ScenarioConfig:
     """Build and validate a ScenarioConfig from parsed YAML data.
 
     Only the file's structure is handled here: station and PoI lists,
-    ``snr_db``, the bias model's value key and ``initial_guess`` as [x, y].
-    A key that is left out takes its dataclass default, and ``name``
-    defaults to the given one. An unknown key at any level and every
-    malformed value raise ConfigError.
+    ``snr_db`` and the bias model's value key. A key that is left out takes
+    its dataclass default, and ``name`` defaults to the given one. An
+    unknown key at any level and every malformed value raise ConfigError.
     """
     cfg = _checked(raw, "config", _keys(ScenarioConfig))
     station_keys = {"id": True, **_keys(Position2D)}
@@ -280,11 +266,9 @@ def config_from_mapping(raw: Any, name: str = "") -> ScenarioConfig:
     cfg["band"] = _band_from_mapping(cfg["band"])
     if "bias_model" in cfg:
         cfg["bias_model"] = _bias_from_mapping(cfg["bias_model"])
-    if "solver" in cfg:
-        cfg["solver"] = _solver_from_mapping(cfg["solver"])
-    if "irls" in cfg:
-        irls = _checked(cfg["irls"], "irls", _keys(IrlsSettings))
-        cfg["irls"] = _built(IrlsSettings, "irls", irls)
+    for key, settings in (("solver", SolverSettings), ("irls", IrlsSettings)):
+        if key in cfg:
+            cfg[key] = _built(settings, key, _checked(cfg[key], key, _keys(settings)))
     cfg.setdefault("name", name)
     return ScenarioConfig(**cfg)
 
@@ -326,9 +310,6 @@ def config_to_mapping(cfg: ScenarioConfig) -> dict:
         "type": cfg.bias_model.kind,
         _bias_value_key(cfg.bias_model.kind): cfg.bias_model.value_m,
     }
-    out["solver"] = solver = _fields(cfg.solver)
-    guess = solver.pop("initial_guess")
-    if guess is not None:
-        solver["initial_guess"] = [guess.x, guess.y]
+    out["solver"] = _fields(cfg.solver)
     out["irls"] = _fields(cfg.irls)
     return out

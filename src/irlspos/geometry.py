@@ -119,12 +119,15 @@ def sorted_stations(stations: Iterable[BaseStation]) -> list[BaseStation]:
 @dataclass(frozen=True)
 class StationLayout:
     """A checked layout: ``stations`` by ascending id, ``positions`` by id in
-    that order, ``box`` = (min_x, min_y, max_x, max_y). Only
+    that order, ``box`` = (min_x, min_y, max_x, max_y), the station
+    ``centroid`` (x, y) and the box ``diagonal``. Only
     :func:`check_station_layout` builds one, so holding one means the check ran."""
 
     stations: tuple[BaseStation, ...]
     positions: Mapping[int, Position2D]
     box: tuple[float, float, float, float]
+    centroid: tuple[float, float]
+    diagonal: float
 
     def solve_box(self, margin: float) -> tuple[float, float, float, float]:
         """(lo_x, lo_y, hi_x, hi_y): the box widened by ``margin`` meters."""
@@ -155,7 +158,14 @@ def check_station_layout(
         raise GeometryError("stations are collinear; 2D position is not solvable")
     xs = [p.x for p in positions.values()]
     ys = [p.y for p in positions.values()]
-    return StationLayout(sts, positions, (min(xs), min(ys), max(xs), max(ys)))
+    min_x, min_y, max_x, max_y = min(xs), min(ys), max(xs), max(ys)
+    return StationLayout(
+        sts,
+        positions,
+        (min_x, min_y, max_x, max_y),
+        (sum(xs) / len(xs), sum(ys) / len(ys)),
+        math.hypot(max_x - min_x, max_y - min_y),
+    )
 
 
 def _all_collinear(stations: Sequence[BaseStation]) -> bool:

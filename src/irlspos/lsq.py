@@ -18,8 +18,10 @@ the objective can lose its finite minimizer along a hyperbola asymptote:
 * steps longer than the station bounding-box diagonal are halved;
 * iterates are clamped to the bounding box expanded by a configurable
   margin (the solve region; UEs are assumed to live among the anchors);
-* an iterate landing exactly on a station (undefined Jacobian) is nudged
-  by one step tolerance along +x.
+* an iterate within ``NUDGE_RADIUS_M`` of a station (undefined Jacobian)
+  is nudged by one step tolerance along +x. The step itself reports it: it
+  computes the distance to every station anyway and returns None. The loop
+  then nudges and retries once, and a second None ends the solve.
 
 Once the clip has acted, a solve can end pinned to the box edge, where the
 raw step never falls under the tolerance and the loop would run to its
@@ -31,11 +33,13 @@ clip on and returns that iterate as soon as one repeats: the result equals,
 bit for bit, the one the capped loop would return. A cycle it does not
 notice only costs time.
 
-Each candidate carries the reference rows it was solved from, so the
-reweighting stage reads them instead of forming them again. The box, its
-diagonal, the centroid and the station coordinates come from the checked
-:class:`~irlspos.geometry.StationLayout`, so a plain station list is checked
-once. An epoch is checked once, at the fix's edge: its
+Every solve starts from the station centroid, which lies inside the convex
+hull for corner-mounted anchors and avoids the wrong hyperbola branch in
+typical layouts. The start, the step cap (the box diagonal) and the box come
+from the checked :class:`~irlspos.geometry.StationLayout`, which computes
+them once per layout. Each candidate carries the reference rows it was
+solved from, so the reweighting stage reads them instead of forming them
+again. An epoch is checked once, at the fix's edge: its
 :class:`~irlspos.channel.MeasurementSet` when it is built, and its station
 ids against the layout in :func:`solve_all_references`. Range differences
 and rows are formed below that edge without further checks.
@@ -66,23 +70,21 @@ from .tdoa import RangeDifferenceSet, compute_tdoas
 # it bounds the condition number of J^T J at about 1 / ILL_CONDITIONED
 ILL_CONDITIONED = 1e-6
 
+# an iterate closer than this to a station is nudged off it, in meters
+NUDGE_RADIUS_M = 1e-12
+
 # ((x_e, y_e), ((x_n, y_n, delta_d_n), ...)): one reference's geometry
 ReferenceRows = tuple[tuple[float, float], tuple[tuple[float, float, float], ...]]
 
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Gauss-Newton controls.
-
-    ``initial_guess`` of None starts from the station centroid, which lies
-    inside the convex hull for corner-mounted anchors and avoids the wrong
-    hyperbola branch in typical layouts. ``bounds_margin_m`` sets how far
-    outside the station bounding box iterates may travel.
-    """
+    """Gauss-Newton controls. ``bounds_margin_m`` sets how far outside the
+    station bounding box iterates may travel; every solve starts from the
+    station centroid."""
 
     max_iterations: int = 50
     step_tolerance_m: float = 1e-6
-    initial_guess: Position2D | None = None
     bounds_margin_m: float = 1.0
 
     def __post_init__(self) -> None:
@@ -94,10 +96,6 @@ class SolverSettings:
             raise ConfigError(f"step_tolerance_m must be > 0, got {self.step_tolerance_m!r}")
         if self.bounds_margin_m < 0:
             raise ConfigError(f"bounds_margin_m must be >= 0, got {self.bounds_margin_m!r}")
-        if not isinstance(self.initial_guess, (Position2D, type(None))):
-            raise ConfigError(
-                f"initial_guess must be a Position2D or None, got {self.initial_guess!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -137,20 +135,21 @@ def _gauss_newton_step(
     r_n = delta_d_n - (||p - q_n|| - ||p - q_e||) and the Jacobian row is
     dr_n/dp = -((p - q_n)/||p - q_n|| - (p - q_e)/||p - q_e||). Only the
     normal-equation sums are kept; the residuals and Jacobian are built only
-    when the lstsq fallback is taken. None where p coincides with a station
-    (the Jacobian is undefined) or the lstsq fallback fails to converge.
+    when the lstsq fallback is taken. None where p lies within
+    ``NUDGE_RADIUS_M`` of a station (the Jacobian is undefined on one) or
+    the lstsq fallback fails to converge.
     """
     (rx, ry), rows = geometry
     ex, ey = x - rx, y - ry
     dist_e = math.hypot(ex, ey)
-    if dist_e == 0.0:
+    if dist_e < NUDGE_RADIUS_M:
         return None
     ux, uy = ex / dist_e, ey / dist_e
     a = b = c = gx = gy = 0.0
     for qx, qy, dd in rows:
         nx, ny = x - qx, y - qy
         dist_n = math.hypot(nx, ny)
-        if dist_n == 0.0:
+        if dist_n < NUDGE_RADIUS_M:
             return None
         r = dd - (dist_n - dist_e)
         jx = -(nx / dist_n - ux)
@@ -189,10 +188,11 @@ def _lstsq_step(x: float, y: float, geometry: ReferenceRows) -> tuple[float, flo
 
 def solve_single_reference(
     rd: RangeDifferenceSet,
-    stations: Sequence[BaseStation] | StationLayout,
+    layout: StationLayout,
     settings: SolverSettings | None = None,
 ) -> CandidateEstimate:
-    """Minimize the squared residuals of one reference choice.
+    """Minimize the squared residuals of one reference choice, starting at
+    ``layout.centroid``.
 
     Returns the last iterate regardless of convergence; ``converged`` is
     True iff the raw Gauss-Newton step norm fell below the step tolerance
@@ -207,21 +207,12 @@ def solve_single_reference(
     ensures; it is not checked again here.
     """
     settings = settings or SolverSettings()
-    layout = check_station_layout(stations)
     geometry = reference_rows(rd, layout)
-    coords = tuple((p.x, p.y) for p in layout.positions.values())
     hypot = math.hypot
-
-    min_x, min_y, max_x, max_y = layout.box
-    diag = hypot(max_x - min_x, max_y - min_y)
+    diag = layout.diagonal
     lo_x, lo_y, hi_x, hi_y = layout.solve_box(settings.bounds_margin_m)
     tolerance = settings.step_tolerance_m
-
-    if settings.initial_guess is not None:
-        x, y = settings.initial_guess.x, settings.initial_guess.y
-    else:
-        x = sum(px for px, _ in coords) / len(coords)
-        y = sum(py for _, py in coords) / len(coords)
+    x, y = layout.centroid
 
     converged = False
     iterations = 0
@@ -230,14 +221,13 @@ def solve_single_reference(
     # iteration that first produced it
     first_seen: dict[tuple[float, float], int] | None = None
     for iterations in range(1, cap + 1):
-        # nudge off any station position, where the Jacobian is undefined
-        for px, py in coords:
-            if hypot(x - px, y - py) < 1e-12:
-                x += tolerance
-                break
         step = _gauss_newton_step(x, y, geometry)
         if step is None:
-            break
+            # on a station, where the Jacobian is undefined: nudge off it once
+            x += tolerance
+            step = _gauss_newton_step(x, y, geometry)
+            if step is None:
+                break
         step_x, step_y = step
         step_norm = norm = hypot(step_x, step_y)
         while norm > diag:

@@ -94,6 +94,11 @@ def translated(p, dx, dy):
     return Position2D(p.x + dx, p.y + dy)
 
 
+def toa(m, station_id):
+    """The measured ToA of one station in a measurement set."""
+    return dict(m.samples)[station_id]
+
+
 def transmission_offsets(m):
     """Every pairwise transmit offset of a measurement set, keyed (n, e)."""
     ids = m.station_ids

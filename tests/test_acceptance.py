@@ -64,6 +64,7 @@ from irlspos import (
     waveform_noise_std,
 )
 from irlspos.channel import LinkState, emulate_measurement_set
+from irlspos.geometry import check_station_layout
 from irlspos.harness import METHOD_IRLS, METHOD_LS, export_results
 from irlspos.lsq import solve_single_reference
 from irlspos.presets import cband_profile, corner_stations, get_preset
@@ -86,7 +87,7 @@ def test_criterion_1_exact_recovery():
     for _ in range(100):
         ue = Position2D(*rng.uniform([0.5, 0.5], [AOI_W - 0.5, AOI_H - 0.5]))
         m = exact_measurements(ue, STATIONS, CBAND)
-        ls = solve_single_reference(compute_tdoas(m, 1), STATIONS)
+        ls = solve_single_reference(compute_tdoas(m, 1), check_station_layout(STATIONS))
         est = irls_position(m, STATIONS)
         worst_ls = max(worst_ls, euclidean_distance(ls.position, ue))
         worst_irls = max(worst_irls, euclidean_distance(est.position, ue))
@@ -114,7 +115,7 @@ def test_criterion_2_outlier_rejection():
         ue = Position2D(*rng.uniform([2.0, 2.0], [AOI_W - 2.0, AOI_H - 2.0]))
         m = exact_measurements(ue, STATIONS, CBAND, biases={biased_id: 10.0})
         est = irls_position(m, STATIONS, irls=u_max)
-        ls = solve_single_reference(compute_tdoas(m, biased_id), STATIONS)
+        ls = solve_single_reference(compute_tdoas(m, biased_id), check_station_layout(STATIONS))
         zero_weight_hits += est.weights[biased_id] == 0.0
         flagged += est.degenerate and est.rejected_station_ids() == all_ids
         ls_err = euclidean_distance(ls.position, ue)
@@ -240,7 +241,7 @@ def test_criterion_5_grid_search_oracle():
             ue, stations, links, CBAND, rng_seed=rng, noise_std_m=0.01
         )
         rd = compute_tdoas(m, 1)
-        cand = solve_single_reference(rd, stations)
+        cand = solve_single_reference(rd, check_station_layout(stations))
 
         # independent oracle: exhaustive 1 cm objective scan over the AoI
         xs = np.arange(0.0, AOI_W + 0.005, 0.01)

@@ -28,7 +28,7 @@ from irlspos import (
     true_first_toa,
     waveform_noise_std,
 )
-from conftest import exact_measurements, fingerprint, transmission_offsets
+from conftest import exact_measurements, fingerprint, toa, transmission_offsets
 
 
 def make_band(**overrides):
@@ -76,15 +76,32 @@ def test_measurement_set_rejects_non_integer_station_ids(bad_id):
 GOOD_SAMPLES = ((1, 1e-8), (2, 2e-8), (3, 3e-8))
 
 
-# the fix trusts what a measurement set checked when it was built
+def with_toa(toa):
+    return ((1, 1e-8), (2, toa), (3, 3e-8))
+
+
+BAD_TOA = "ToA: expected a finite number"
+BAD_PERIOD = "schedule_period_s: expected a finite number"
+
+
+# the fix trusts what a measurement set checked when it was built; a None,
+# text or list number used to escape as TypeError or a plain ValueError, and
+# a True period read as 1 s
 @pytest.mark.parametrize(
     "samples,schedule_period_s,match",
     [
         pytest.param(((1, 1e-8), (2, 2e-8), (1, 3e-8)), 0.0, "duplicate station ids", id="duplicate-id"),
-        pytest.param(((1, 1e-8), (2, math.nan), (3, 3e-8)), 0.0, "non-finite ToA", id="nan-toa"),
-        pytest.param(((1, 1e-8), (2, 2e-8), (3, math.inf)), 0.0, "non-finite ToA", id="inf-toa"),
-        pytest.param(GOOD_SAMPLES, -1e-3, "schedule_period_s", id="negative-period"),
-        pytest.param(GOOD_SAMPLES, math.nan, "schedule_period_s", id="nan-period"),
+        pytest.param(with_toa(math.nan), 0.0, BAD_TOA, id="nan-toa"),
+        pytest.param(((1, 1e-8), (2, 2e-8), (3, math.inf)), 0.0, BAD_TOA, id="inf-toa"),
+        pytest.param(with_toa(None), 0.0, BAD_TOA, id="none-toa"),
+        pytest.param(with_toa("x"), 0.0, BAD_TOA, id="text-toa"),
+        pytest.param(with_toa([2e-8]), 0.0, BAD_TOA, id="list-toa"),
+        pytest.param(GOOD_SAMPLES, -1e-3, "schedule_period_s must be >= 0", id="negative-period"),
+        pytest.param(GOOD_SAMPLES, math.nan, BAD_PERIOD, id="nan-period"),
+        pytest.param(GOOD_SAMPLES, None, BAD_PERIOD, id="none-period"),
+        pytest.param(GOOD_SAMPLES, "x", BAD_PERIOD, id="text-period"),
+        pytest.param(GOOD_SAMPLES, [0.01], BAD_PERIOD, id="list-period"),
+        pytest.param(GOOD_SAMPLES, True, BAD_PERIOD, id="bool-period"),
     ],
 )
 def test_measurement_set_rejects_malformed_epochs(samples, schedule_period_s, match):
@@ -299,7 +316,7 @@ def test_emulator_zero_noise_all_los_reproduces_truth(stations, band):
     ue = Position2D(7.0, 11.0)
     m = exact_measurements(ue, stations, band)
     for st in stations:
-        assert m.toa(st.id) == pytest.approx(true_first_toa(ue, st), abs=1e-22)
+        assert toa(m, st.id) == pytest.approx(true_first_toa(ue, st), abs=1e-22)
 
 
 def test_emulator_schedule_stagger_is_exact(stations, band):
@@ -308,7 +325,7 @@ def test_emulator_schedule_stagger_is_exact(stations, band):
     m = exact_measurements(ue, stations, band, schedule_period_s=delta)
     for st in stations:
         stagger = (st.id - 1) * delta
-        assert m.toa(st.id) - stagger == pytest.approx(true_first_toa(ue, st), abs=1e-17)
+        assert toa(m, st.id) - stagger == pytest.approx(true_first_toa(ue, st), abs=1e-17)
     assert transmission_offsets(m)[(3, 1)] == pytest.approx(2 * delta)
     assert transmission_offsets(m)[(1, 3)] == pytest.approx(-2 * delta)
 
@@ -317,8 +334,8 @@ def test_emulator_bias_adds_exact_range(stations, band):
     ue = Position2D(4.0, 6.0)
     clean = exact_measurements(ue, stations, band)
     biased = exact_measurements(ue, stations, band, biases={2: 10.0})
-    assert biased.toa(2) - clean.toa(2) == pytest.approx(10.0 / SPEED_OF_LIGHT_M_S, rel=1e-12)
-    assert biased.toa(1) == clean.toa(1)
+    assert toa(biased, 2) - toa(clean, 2) == pytest.approx(10.0 / SPEED_OF_LIGHT_M_S, rel=1e-12)
+    assert toa(biased, 1) == toa(clean, 1)
 
 
 def test_emulator_is_deterministic(stations, band):
@@ -350,7 +367,7 @@ def test_emulator_noise_is_unbiased(stations, band):
     truth = true_first_toa(ue, st)
     for i in range(n):
         m = emulate_measurement_set(ue, stations, links, band, rng_seed=rng)
-        draws[i] = m.toa(st.id) - truth
+        draws[i] = toa(m, st.id) - truth
     mean_m = draws.mean() * SPEED_OF_LIGHT_M_S
     assert abs(mean_m) < 4 * sigma / math.sqrt(n)
 
@@ -363,16 +380,23 @@ def test_emulator_projected_3d_offset(stations, band):
     )
     d2d = math.hypot(10.0, 10.0)
     expected = math.hypot(d2d, 3.0) / SPEED_OF_LIGHT_M_S
-    assert m.toa(1) == pytest.approx(expected, rel=1e-15)
+    assert toa(m, 1) == pytest.approx(expected, rel=1e-15)
 
 
 def test_link_state_invariant():
     # a link is LoS exactly when it adds no excess range
     assert LinkState(1).is_los
     assert not LinkState(1, nlos_bias_m=2.0).is_los
-    for bias in (-0.5, math.nan, math.inf):
-        with pytest.raises(ConfigError, match="nlos_bias"):
-            LinkState(1, nlos_bias_m=bias)
+
+
+# None and "a" used to raise TypeError, and True counted as a 1 m bias
+@pytest.mark.parametrize(
+    "bias", [-0.5, math.nan, math.inf, None, "a", [2.0], True],
+    ids=["negative", "nan", "inf", "none", "text", "list", "bool"],
+)
+def test_link_state_rejects_malformed_bias(bias):
+    with pytest.raises(ConfigError, match="nlos_bias_m"):
+        LinkState(1, bias)
 
 
 def test_import_leaves_scipy_signal_unloaded():

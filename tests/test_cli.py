@@ -64,11 +64,17 @@ def test_unreachable_poi_exits_with_config_error(tmp_path, capsys):
 
 
 def test_unknown_key_exits_with_config_error(tmp_path, capsys):
-    path = write_small_scenario(tmp_path, nlos_probabilty=0.3)
-    assert main(["validate", str(path)]) == EXIT_CONFIG
-    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-    assert capsys.readouterr().err.count("unknown key 'nlos_probabilty'") == 2
-    assert not (tmp_path / "out").exists()
+    # a misspelt key, and a key the solver no longer reads
+    solver = config_to_mapping(get_preset("static_cband"))["solver"]
+    for overrides, key in (
+        ({"nlos_probabilty": 0.3}, "nlos_probabilty"),
+        ({"solver": {**solver, "initial_guess": [1.0, 2.0]}}, "initial_guess"),
+    ):
+        path = write_small_scenario(tmp_path, **overrides)
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.count(f"unknown key '{key}'") == 2
+        assert not (tmp_path / "out").exists()
 
 
 def test_validate_missing_file(tmp_path, capsys):

@@ -64,7 +64,7 @@ def test_yaml_round_trip(tmp_path):
             configs[0],
             name="variant",
             bias_model=BiasModel(kind="fixed", value_m=2.0),
-            solver=SolverSettings(initial_guess=Position2D(1.0, 2.0)),
+            solver=SolverSettings(max_iterations=20, bounds_margin_m=2.0),
             noise_override_m=0.5,
             projected_3d=True,
             transmit_power_dbm=None,
@@ -257,8 +257,6 @@ def _derived_band(**fields):
         pytest.param(SolverSettings, "bounds_margin_m", None, id="solver-none-margin"),
         pytest.param(SolverSettings, "step_tolerance_m", [1e-6], id="solver-list-tolerance"),
         pytest.param(SolverSettings, "bounds_margin_m", True, id="solver-bool-margin"),
-        pytest.param(SolverSettings, "initial_guess", (1.0, 2.0), id="solver-tuple-guess"),
-        pytest.param(SolverSettings, "initial_guess", [1.0, 2.0], id="solver-list-guess"),
         pytest.param(IrlsSettings, "u_max_m", "abc", id="irls-text-u-max"),
         pytest.param(IrlsSettings, "epsilon_m", None, id="irls-none-epsilon"),
         pytest.param(IrlsSettings, "max_iterations", [100], id="irls-list-max-iterations"),
@@ -378,13 +376,11 @@ def test_schema_docstring_loads_as_a_scenario():
 def test_schema_docstring_names_every_accepted_key():
     # what the writer emits for both bias kinds, with every optional field set,
     # plus snr_db, the reader's alternative to snr_linear
-    exponential = replace(
-        get_preset("static_cband"), solver=SolverSettings(initial_guess=Position2D(1.0, 2.0))
-    )
+    exponential = get_preset("static_cband")
     fixed = replace(exponential, bias_model=BiasModel(kind="fixed", value_m=1.0))
     accepted = _keys_in(config_to_mapping(exponential)) | _keys_in(config_to_mapping(fixed))
     accepted.add("snr_db")
-    assert len(accepted) == 36
+    assert len(accepted) == 35
     for key in sorted(accepted):
         assert re.search(rf"\b{key}\b", config.__doc__), key
 

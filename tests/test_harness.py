@@ -11,6 +11,7 @@ from irlspos import (
     summarize,
 )
 from irlspos.config import BiasModel
+from irlspos.geometry import check_station_layout
 from irlspos.harness import (
     METHOD_IRLS,
     METHOD_LS,
@@ -97,10 +98,10 @@ def test_both_methods_consume_identical_measurements():
 
     # the batch errors must be reproducible from that single measurement set
     batch = run_batch(cfg)
-    stations = sorted(cfg.stations, key=lambda s: s.id)
+    layout = check_station_layout(cfg.stations)
     poi = cfg.pois[1]
-    ls = solve_single_reference(compute_tdoas(m1, 1), stations, cfg.solver)
-    est = irls_position(m1, stations, cfg.solver, cfg.irls)
+    ls = solve_single_reference(compute_tdoas(m1, 1), layout, cfg.solver)
+    est = irls_position(m1, layout, cfg.solver, cfg.irls)
     recorded = {
         (t.method): t
         for t in batch.per_trial
