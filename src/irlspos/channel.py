@@ -110,10 +110,9 @@ class MultipathComponent:
     toa_s: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.amplitude):
-            raise ValueError(f"amplitude must be finite, got {self.amplitude!r}")
-        if not math.isfinite(self.toa_s) or self.toa_s < 0:
-            raise ValueError(f"toa_s must be finite and >= 0, got {self.toa_s!r}")
+        read_fields(self, as_number, "amplitude", "toa_s")
+        if self.toa_s < 0:
+            raise ConfigError(f"toa_s must be >= 0, got {self.toa_s!r}")
 
 
 @dataclass(frozen=True)
@@ -356,8 +355,9 @@ def emulate_measurement_set(
     range is the 2D distance, or sqrt(d_2d^2 + height_difference_m^2) when a
     projected-3D offset is enabled, and the noise draw is Gaussian with
     std ``toa_noise_std(band)`` (in meters; override with ``noise_std_m``,
-    0 disables). Deterministic given the seed; stations are processed in
-    ascending id order so equal seeds give identical draws.
+    0 disables). Deterministic given the seed: one draw of N noise values,
+    the same stream as N scalar draws, is assigned in ascending id order so
+    equal seeds give identical draws.
     """
     sts = sorted_stations(stations)
     link_by_id = {ln.station_id: ln for ln in links}
@@ -375,13 +375,14 @@ def emulate_measurement_set(
         if isinstance(rng_seed, np.random.Generator)
         else np.random.default_rng(rng_seed)
     )
+    noise = gen.normal(0.0, sigma_m, len(sts)).tolist()
     min_id = sts[0].id
     samples = []
-    for st in sts:
+    for st, noise_m in zip(sts, noise):
         dist = euclidean_distance(ue, st.position)
         if height_difference_m != 0.0:
             dist = math.hypot(dist, height_difference_m)
-        range_m = dist + link_by_id[st.id].nlos_bias_m + gen.normal(0.0, sigma_m)
+        range_m = dist + link_by_id[st.id].nlos_bias_m + noise_m
         toa = (st.id - min_id) * schedule_period_s + range_m / SPEED_OF_LIGHT_M_S
         samples.append((st.id, toa))
     return MeasurementSet(

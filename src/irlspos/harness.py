@@ -1,11 +1,14 @@
 """Monte-Carlo benchmark driver.
 
 Each (PoI, trial) pair gets its own RNG streams split from the root seed by
-a documented rule: ``SeedSequence(entropy=root_seed, spawn_key=(poi_index,
-trial_index))`` spawns two children, the first driving link states and NLoS
-bias draws, the second the ranging noise. Link/bias draws therefore depend
-only on the root seed and trial coordinates, never on the band, so two
-configs that differ only in band parameters see identical outliers.
+a documented rule: two children of ``SeedSequence(entropy=root_seed,
+spawn_key=(poi_index, trial_index))``, the first driving link states and
+NLoS bias draws, the second the ranging noise. Child i is built directly as
+``SeedSequence(entropy=root_seed, spawn_key=(poi_index, trial_index, i))``,
+which is exactly the child ``spawn(2)`` returns, without the parent. Link/bias
+draws therefore depend only on the root seed and trial coordinates, never on
+the band, so two configs that differ only in band parameters see identical
+outliers.
 
 Both methods consume the identical measurement set per trial: the robust
 method rotates references and reweights, and LS is its candidate for the
@@ -76,9 +79,11 @@ class TrialBatch:
 def trial_rngs(
     root_seed: int, poi_index: int, trial_index: int
 ) -> tuple[np.random.Generator, np.random.Generator]:
-    """(link/bias generator, noise generator) for one trial."""
-    ss = np.random.SeedSequence(entropy=root_seed, spawn_key=(poi_index, trial_index))
-    link_ss, noise_ss = ss.spawn(2)
+    """(link/bias generator, noise generator) for one trial: the children
+    ``spawn(2)`` would give of ``SeedSequence(root_seed, spawn_key=(poi_index,
+    trial_index))``, built directly from their spawn keys."""
+    link_ss = np.random.SeedSequence(root_seed, spawn_key=(poi_index, trial_index, 0))
+    noise_ss = np.random.SeedSequence(root_seed, spawn_key=(poi_index, trial_index, 1))
     return np.random.default_rng(link_ss), np.random.default_rng(noise_ss)
 
 

@@ -19,6 +19,7 @@ stations against it and hands the checked layout to every candidate solve.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -34,13 +35,11 @@ from .geometry import (
     euclidean_distance,
     read_fields,
 )
-from .lsq import (
-    CandidateEstimate,
-    ReferenceRows,
-    SolverSettings,
-    residuals_at,
-    solve_all_references,
-)
+from .lsq import CandidateEstimate, SolverSettings, solve_all_references
+
+# distinct rejected sets that keep one shared tuple each; an N-station epoch
+# has at most 2**N of them
+SHARED_REJECTED_SETS = 256
 
 # not called here: perfbench/tracer.py looks it up on this module and
 # reports a name missing here as a missing wrap point
@@ -88,7 +87,15 @@ class PositionEstimate:
     degenerate: bool = False
 
     def rejected_station_ids(self) -> tuple[int, ...]:
-        return tuple(sid for sid, w in sorted(self.weights.items()) if w == 0.0)
+        """Ids whose weight is zero, ascending. Equal sets come back as one
+        shared tuple, so a caller that keeps many estimates' sets holds each
+        distinct set once."""
+        return _shared_ids(tuple(sid for sid, w in sorted(self.weights.items()) if w == 0.0))
+
+
+@functools.lru_cache(maxsize=SHARED_REJECTED_SETS)
+def _shared_ids(ids: tuple[int, ...]) -> tuple[int, ...]:
+    return ids
 
 
 def andrews_weight(u: float, u_max: float) -> float:
@@ -106,17 +113,6 @@ def andrews_weight(u: float, u_max: float) -> float:
     if u > u_max:
         return 0.0
     return (u_max / (u * math.pi)) * math.sin(u * math.pi / u_max)
-
-
-def _uncertainty(geometry: ReferenceRows, q_wa: Position2D) -> float:
-    """Mean absolute range-difference residual of q_wa for one reference.
-
-    Averages |delta_d_ne - (||q_wa - q_n|| - ||q_wa - q_e||)| over the N-1
-    non-reference stations; zero means the fused estimate explains that
-    reference's measurements exactly.
-    """
-    residuals = residuals_at(q_wa.x, q_wa.y, geometry)
-    return math.fsum(abs(r) for r in residuals) / len(residuals)
 
 
 def weighted_average(
@@ -156,6 +152,7 @@ def irls_position(
     irls = irls or IrlsSettings()
     candidates = tuple(solve_all_references(m, stations, ls))
     geometries = [c.rows for c in candidates]
+    hypot, fsum = math.hypot, math.fsum
 
     n = len(candidates)
     q_wa = weighted_average(candidates, [1.0 / n] * n)
@@ -164,8 +161,15 @@ def irls_position(
     iterations = 0
     weights = [1.0 / n] * n
     for iterations in range(1, irls.max_iterations + 1):
-        raw = [andrews_weight(_uncertainty(g, q_wa), irls.u_max_m) for g in geometries]
-        total = math.fsum(raw)
+        x, y = q_wa.x, q_wa.y
+        raw = []
+        for (rx, ry), rows in geometries:
+            # the reference's uncertainty: the mean over its rows of
+            # |delta_d_ne - (||q_wa - q_n|| - ||q_wa - q_e||)|
+            dist_e = hypot(x - rx, y - ry)
+            misfits = [abs(dd - (hypot(x - qx, y - qy) - dist_e)) for qx, qy, dd in rows]
+            raw.append(andrews_weight(fsum(misfits) / len(misfits), irls.u_max_m))
+        total = fsum(raw)
         if total == 0.0:
             return PositionEstimate(
                 position=q_wa,

@@ -105,10 +105,16 @@ class CandidateEstimate:
 
     reference_id: int
     position: Position2D
-    residual_norm_m: float
     converged: bool
     iterations_used: int
     rows: ReferenceRows
+
+    @property
+    def residual_norm_m(self) -> float:
+        """Euclidean norm of the range-difference residuals at ``position``,
+        computed when read."""
+        residuals = residuals_at(self.position.x, self.position.y, self.rows)
+        return math.sqrt(math.fsum(r * r for r in residuals))
 
 
 def reference_rows(rd: RangeDifferenceSet, layout: StationLayout) -> ReferenceRows:
@@ -252,11 +258,9 @@ def solve_single_reference(
             iterations = cap
             break
 
-    residuals = residuals_at(x, y, geometry)
     return CandidateEstimate(
         reference_id=rd.reference_id,
         position=Position2D(x, y),
-        residual_norm_m=math.sqrt(math.fsum(r * r for r in residuals)),
         converged=converged,
         iterations_used=iterations,
         rows=geometry,

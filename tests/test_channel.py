@@ -21,6 +21,7 @@ from irlspos import (
     Position2D,
     emulate_measurement_set,
     estimate_toa_from_waveform,
+    euclidean_distance,
     make_multipath_components,
     raised_cosine_pulse,
     synthesize_received_waveform,
@@ -310,6 +311,30 @@ def test_multipath_rejects_negative_excess():
         )
 
 
+BAD_AMPLITUDE = "amplitude: expected a finite number"
+BAD_ARRIVAL = "toa_s: expected a finite number"
+
+
+# None and text used to raise TypeError, and True counted as amplitude 1
+@pytest.mark.parametrize(
+    "amplitude,toa_s,match",
+    [
+        pytest.param(None, 1e-8, BAD_AMPLITUDE, id="none-amplitude"),
+        pytest.param("x", 1e-8, BAD_AMPLITUDE, id="text-amplitude"),
+        pytest.param(True, 1e-8, BAD_AMPLITUDE, id="bool-amplitude"),
+        pytest.param(math.nan, 1e-8, BAD_AMPLITUDE, id="nan-amplitude"),
+        pytest.param(1.0, None, BAD_ARRIVAL, id="none-toa"),
+        pytest.param(1.0, "x", BAD_ARRIVAL, id="text-toa"),
+        pytest.param(1.0, True, BAD_ARRIVAL, id="bool-toa"),
+        pytest.param(1.0, math.inf, BAD_ARRIVAL, id="inf-toa"),
+        pytest.param(1.0, -1e-9, "toa_s must be >= 0", id="negative-toa"),
+    ],
+)
+def test_multipath_component_rejects_malformed_fields(amplitude, toa_s, match):
+    with pytest.raises(ConfigError, match=match):
+        MultipathComponent(amplitude, toa_s)
+
+
 # --- statistical-mode emulator ----------------------------------------------------
 
 def test_emulator_zero_noise_all_los_reproduces_truth(stations, band):
@@ -347,6 +372,19 @@ def test_emulator_is_deterministic(stations, band):
     assert fingerprint(m1) == fingerprint(m2)
     m3 = emulate_measurement_set(ue, stations, links, band, rng_seed=124)
     assert m1 != m3
+
+
+def test_emulator_draws_one_noise_value_per_station_in_id_order(stations, band):
+    # the determinism contract: station k (by id) gets the k-th scalar draw
+    # of the noise stream
+    ue = Position2D(7.0, 15.0)
+    links = [LinkState(s.id, 0.5 * s.id) for s in stations]
+    m = emulate_measurement_set(ue, list(reversed(stations)), links, band, rng_seed=11)
+    gen = np.random.default_rng(11)
+    sigma = toa_noise_std(band)
+    for s in sorted(stations, key=lambda s: s.id):
+        range_m = euclidean_distance(ue, s.position) + 0.5 * s.id + gen.normal(0.0, sigma)
+        assert toa(m, s.id) == range_m / SPEED_OF_LIGHT_M_S
 
 
 def test_emulator_rejects_link_mismatch(stations, band):

@@ -1,7 +1,9 @@
 """Monte-Carlo driver: determinism, fairness, summaries, and exports."""
 
+import hashlib
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from irlspos import (
@@ -74,6 +76,18 @@ def test_trial_rng_split_is_deterministic():
     assert n1.random(4).tolist() == n2.random(4).tolist()
     b1, _ = trial_rngs(42, 3, 8)
     assert a1.random(4).tolist() != b1.random(4).tolist()
+
+
+@pytest.mark.parametrize("root_seed", [0, 1, 20240601, 2**64 - 1])
+@pytest.mark.parametrize("key", [(0, 0), (3, 7), (22, 49)])
+def test_trial_rngs_are_the_spawned_children(root_seed, key):
+    # the documented rule: the two children spawn(2) gives of the trial's
+    # SeedSequence, built directly from their spawn keys
+    children = np.random.SeedSequence(root_seed, spawn_key=key).spawn(2)
+    for rng, child in zip(trial_rngs(root_seed, *key), children):
+        spawned = np.random.default_rng(child)
+        assert rng.random(8).tolist() == spawned.random(8).tolist()
+        assert rng.normal(0.0, 1.0, 4).tolist() == spawned.normal(0.0, 1.0, 4).tolist()
 
 
 def test_link_draws_are_band_independent():
@@ -194,6 +208,31 @@ def test_summary_file_contents(tmp_path):
     assert f"root_seed: {cfg.root_seed}" in text
     assert "method: LS" in text and "method: IRLS" in text
     assert "mean_error_m" in text and "p90_error_m" in text
+
+
+# sha256 of every export at the preset's default seed; any change to a draw,
+# a solve, a weight or a format shows here
+EXPORT_SHA256 = {
+    "static_cband": {
+        "trials.csv": "05372655d54ae32909d2b04f8211bcd223bc76c475f10ea001a917b6b4b7998c",
+        "summary.txt": "a259a9234e9a04724377b5ab470bd29bdda63d4ae10988653ef486403929b016",
+        "cdf_ls.csv": "2944162142a168b88ac1f7748093516d7928bdd25a5461e18e60da3a3e953970",
+        "cdf_irls.csv": "3959ee160e0649743bc3dbbc7619f4787951969d5aa448f74104ba2cc7e04095",
+    },
+    "semidynamic_cband": {
+        "trials.csv": "649e55a301840f7685b6007be4165ab2446d204840120147724cbbaaa281bfaa",
+        "summary.txt": "6230a0e25a0ae1e43018e8c42582d7ca3b16ef7ff1d2419da2f2e4aebe7467c7",
+        "cdf_ls.csv": "ec40b6f9257d3a4d5620ce51dd9ebb19315ef2e89c09765770549da603b82785",
+        "cdf_irls.csv": "17a982db9b7337e331116fd4c4e802058eb3b9ad816ba04c29a50879ee7bd075",
+    },
+}
+
+
+@pytest.mark.parametrize("preset", sorted(EXPORT_SHA256))
+def test_default_seed_exports_are_pinned(preset, tmp_path):
+    paths = export_results(run_batch(get_preset(preset)), tmp_path)
+    hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+    assert hashes == EXPORT_SHA256[preset]
 
 
 # semidynamic_cband at its default seed: 374 of its 1,150 trials reject every

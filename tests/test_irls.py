@@ -8,6 +8,7 @@ under the threshold).
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,9 +30,7 @@ from irlspos import (
 )
 from irlspos import irls as irls_module
 from irlspos import lsq, tdoa
-from irlspos.geometry import check_station_layout
-from irlspos.irls import _uncertainty
-from irlspos.lsq import CandidateEstimate, reference_rows, solve_all_references
+from irlspos.lsq import CandidateEstimate, solve_all_references
 from irlspos.presets import cband_profile, corner_stations
 from irlspos.tdoa import compute_tdoas
 from conftest import AOI_H, AOI_W, exact_measurements, fixes
@@ -136,19 +135,36 @@ def test_andrews_strictly_decreasing_inside_support():
 
 # --- uncertainty factor --------------------------------------------------------------
 
-def uncertainty(reference_id, q_wa, m, stations):
-    rd = compute_tdoas(m, reference_id)
-    return _uncertainty(reference_rows(rd, check_station_layout(stations)), q_wa)
+def spy_uncertainties(monkeypatch):
+    """Every uncertainty the loop passes to andrews_weight, in call order."""
+    seen = []
+
+    def spy(u, u_max):
+        seen.append(u)
+        return andrews_weight(u, u_max)
+
+    monkeypatch.setattr(irls_module, "andrews_weight", spy)
+    return seen
 
 
-def test_uncertainty_zero_at_truth(stations, band):
+def uncertainties(q_wa, m, stations, monkeypatch):
+    """{reference id: uncertainty} of the loop's first iteration, with every
+    candidate moved to q_wa: four equal positions fuse to exactly q_wa."""
+    candidates = [replace(c, position=q_wa) for c in solve_all_references(m, stations)]
+    monkeypatch.setattr(irls_module, "solve_all_references", lambda *args: candidates)
+    seen = spy_uncertainties(monkeypatch)
+    irls_position(m, stations, irls=IrlsSettings(max_iterations=1))
+    return dict(zip((c.reference_id for c in candidates), seen))
+
+
+def test_uncertainty_zero_at_truth(stations, band, monkeypatch):
     ue = Position2D(9.0, 12.0)
     m = exact_measurements(ue, stations, band)
-    for s in stations:
-        assert uncertainty(s.id, ue, m, stations) == pytest.approx(0.0, abs=1e-12)
+    for u in uncertainties(ue, m, stations, monkeypatch).values():
+        assert u == pytest.approx(0.0, abs=1e-12)
 
 
-def test_uncertainty_single_perturbed_entry(stations, band):
+def test_uncertainty_single_perturbed_entry(stations, band, monkeypatch):
     # +b on one non-reference arrival shows up as b/(N-1)
     ue = Position2D(9.0, 12.0)
     m = exact_measurements(ue, stations, band)
@@ -157,27 +173,47 @@ def test_uncertainty_single_perturbed_entry(stations, band):
         (sid, toa + (b / 299792458.0 if sid == 3 else 0.0)) for sid, toa in m.samples
     )
     perturbed = MeasurementSet(epoch_id=0, samples=samples)
-    assert uncertainty(1, ue, perturbed, stations) == pytest.approx(
+    assert uncertainties(ue, perturbed, stations, monkeypatch)[1] == pytest.approx(
         b / 3, rel=1e-9
     )
 
 
-def test_uncertainty_biased_reference_sees_full_bias(stations, band):
+def test_uncertainty_biased_reference_sees_full_bias(stations, band, monkeypatch):
     # the reference's own bias enters every difference of its rotation
     ue = Position2D(9.0, 12.0)
     m = exact_measurements(ue, stations, band, biases={1: 10.0})
-    assert uncertainty(1, ue, m, stations) == pytest.approx(10.0, rel=1e-9)
+    u = uncertainties(ue, m, stations, monkeypatch)
+    assert u[1] == pytest.approx(10.0, rel=1e-9)
     for sid in (2, 3, 4):
-        assert uncertainty(sid, ue, m, stations) == pytest.approx(
-            10.0 / 3, rel=1e-9
-        )
+        assert u[sid] == pytest.approx(10.0 / 3, rel=1e-9)
+
+
+def test_uncertainty_is_the_mean_absolute_residual(stations, band, monkeypatch):
+    # at every iteration, each reference's uncertainty equals, bit for bit,
+    # the mean |residual| of its rows at that iteration's fused estimate
+    m = exact_measurements(Position2D(3.0, 21.0), stations, band, biases={2: 0.8})
+    candidates = solve_all_references(m, stations)
+    fused = []
+
+    def recording_average(cands, weights):
+        fused.append(weighted_average(cands, weights))
+        return fused[-1]
+
+    monkeypatch.setattr(irls_module, "weighted_average", recording_average)
+    seen = spy_uncertainties(monkeypatch)
+    est = irls_position(m, stations)
+    assert est.iterations > 1 and len(seen) == 4 * est.iterations
+    for i, q in enumerate(fused[: est.iterations]):
+        for c, u in zip(candidates, seen[4 * i : 4 * i + 4]):
+            residuals = lsq.residuals_at(q.x, q.y, c.rows)
+            assert u == math.fsum(abs(r) for r in residuals) / len(residuals)
 
 
 # --- weighted average ------------------------------------------------------------------
 
 def _cands_at(points):
     return [
-        CandidateEstimate(i + 1, Position2D(*p), 0.0, True, 1, (p, ()))
+        CandidateEstimate(i + 1, Position2D(*p), True, 1, (p, ()))
         for i, p in enumerate(points)
     ]
 
@@ -242,6 +278,14 @@ def test_large_bias_degenerates_to_all_rejected(stations, band):
     oracle = scripted_oracle(m, stations)
     assert oracle["degenerate"]
     assert euclidean_distance(est.position, Position2D(*oracle["position"])) < 1e-12
+
+
+def test_equal_rejected_sets_share_one_tuple(stations, band):
+    # a caller that keeps many estimates' sets holds each distinct set once
+    m = exact_measurements(Position2D(10.0, 10.0), stations, band, biases={1: 10.0})
+    first, second = irls_position(m, stations), irls_position(m, stations)
+    assert first.rejected_station_ids() == (1, 2, 3, 4)
+    assert first.rejected_station_ids() is second.rejected_station_ids()
 
 
 def test_moderate_bias_matches_scripted_oracle(stations, band):
@@ -342,6 +386,25 @@ def test_each_reference_is_formed_once_per_fix(n, band, monkeypatch):
     assert calls == {"compute_tdoas": n, "reference_rows": n}
 
 
+def test_loop_computes_no_residual_vectors(stations, band, monkeypatch):
+    # candidates compute their residual norm only when read, and the loop
+    # forms each uncertainty in place, so a fix never calls residuals_at
+    calls = []
+    original = lsq.residuals_at
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (lsq, irls_module):
+        if hasattr(module, "residuals_at"):
+            monkeypatch.setattr(module, "residuals_at", counting)
+    m = exact_measurements(Position2D(3.0, 21.0), stations, band, biases={2: 0.8})
+    est = irls_position(m, stations)
+    assert est.iterations > 1
+    assert calls == []
+
+
 # --- the fix's edge ------------------------------------------------------------------------
 
 @pytest.mark.parametrize(
@@ -376,6 +439,18 @@ REVERSED = tuple(range(7, -1, -1))
 
 def reorder(items, order):
     return [items[i] for i in order if i < len(items)]
+
+
+@given(case=fixes(BIASES))
+def test_loop_matches_scripted_oracle_on_drawn_layouts(case):
+    stations, ue, biases = case
+    m = exact_measurements(ue, stations, cband_profile(), biases)
+    est = irls_position(m, stations)
+    oracle = scripted_oracle(m, stations)
+    assert euclidean_distance(est.position, Position2D(*oracle["position"])) < 1e-9
+    assert est.iterations == oracle["iterations"]
+    assert est.converged == oracle["converged"]
+    assert est.degenerate == oracle["degenerate"]
 
 
 @given(case=fixes(BIASES), order=ORDERS)
