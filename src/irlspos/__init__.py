@@ -4,9 +4,10 @@ Monte-Carlo benchmark harness.
 
 The names below are the library's API: ``irls_position``, ``run_batch``
 and the types they take and return, plus the emulator and its helpers. The
-per-reference layer that ``irls_position`` runs (``compute_tdoas``,
-``RangeDifferenceSet``, ``solve_single_reference``, ``solve_all_references``)
-trusts the epoch checks made at its edge, and is imported from its modules."""
+layer that ``irls_position`` runs below its epoch checks trusts them:
+``compute_tdoas`` forms every reference's ``RangeDifferenceSet`` in one
+pass, and ``solve_single_reference`` and ``solve_all_references`` solve
+them. It is imported from its modules."""
 
 from .channel import (
     BandProfile,

@@ -38,6 +38,7 @@ from .geometry import (
     is_int,
     read_fields,
     sorted_stations,
+    true_first_toa,
 )
 
 # pulse tails retained on each side of a multipath arrival, in symbol periods
@@ -127,10 +128,6 @@ class LinkState:
         read_fields(self, as_number, "nlos_bias_m")
         if self.nlos_bias_m < 0:
             raise ConfigError(f"nlos_bias_m must be >= 0, got {self.nlos_bias_m!r}")
-
-    @property
-    def is_los(self) -> bool:
-        return self.nlos_bias_m == 0.0
 
 
 @dataclass(frozen=True)
@@ -325,7 +322,7 @@ def make_multipath_components(
     A_j = d_1 / d_j with d_j = c * toa_j. Excess delays must be >= 0 so no
     path arrives before the direct one.
     """
-    toa_los = euclidean_distance(ue, station.position) / SPEED_OF_LIGHT_M_S
+    toa_los = true_first_toa(ue, station)
     mpcs = [MultipathComponent(amplitude=1.0, toa_s=toa_los)]
     d_los = toa_los * SPEED_OF_LIGHT_M_S
     for excess in excess_delays_s:

@@ -9,10 +9,11 @@ uncertainties to weights, hard-rejecting any reference whose uncertainty
 exceeds ``u_max``. Candidates are solved once, before the loop; only the
 weights and the fused position update per iteration.
 
-Each epoch's range differences are formed once: every candidate carries the
-reference rows it was solved from (its reference's coordinates, and each
-other station's coordinates with its measured difference, as plain floats),
-and the loop reads those rows. A plain station list is checked once, by
+Each epoch's range differences are formed once, in one pass: every
+candidate carries the :class:`~irlspos.tdoa.RangeDifferenceSet` it was
+solved from (its reference's coordinates, and each other station's
+coordinates with its measured difference, as plain floats), and the loop
+reads those sets. A plain station list is checked once, by
 :func:`~irlspos.lsq.solve_all_references`, which also matches the epoch's
 stations against it and hands the checked layout to every candidate solve.
 """
@@ -151,7 +152,7 @@ def irls_position(
     """
     irls = irls or IrlsSettings()
     candidates = tuple(solve_all_references(m, stations, ls))
-    geometries = [c.rows for c in candidates]
+    sets = [c.range_differences for c in candidates]
     hypot, fsum = math.hypot, math.fsum
 
     n = len(candidates)
@@ -163,11 +164,12 @@ def irls_position(
     for iterations in range(1, irls.max_iterations + 1):
         x, y = q_wa.x, q_wa.y
         raw = []
-        for (rx, ry), rows in geometries:
+        for rd in sets:
             # the reference's uncertainty: the mean over its rows of
             # |delta_d_ne - (||q_wa - q_n|| - ||q_wa - q_e||)|
+            rx, ry = rd.reference
             dist_e = hypot(x - rx, y - ry)
-            misfits = [abs(dd - (hypot(x - qx, y - qy) - dist_e)) for qx, qy, dd in rows]
+            misfits = [abs(dd - (hypot(x - qx, y - qy) - dist_e)) for qx, qy, dd in rd.rows]
             raw.append(andrews_weight(fsum(misfits) / len(misfits), irls.u_max_m))
         total = fsum(raw)
         if total == 0.0:

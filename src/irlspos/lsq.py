@@ -37,12 +37,14 @@ Every solve starts from the station centroid, which lies inside the convex
 hull for corner-mounted anchors and avoids the wrong hyperbola branch in
 typical layouts. The start, the step cap (the box diagonal) and the box come
 from the checked :class:`~irlspos.geometry.StationLayout`, which computes
-them once per layout. Each candidate carries the reference rows it was
-solved from, so the reweighting stage reads them instead of forming them
-again. An epoch is checked once, at the fix's edge: its
+them once per layout. The rows each step reads are those of one
+:class:`~irlspos.tdoa.RangeDifferenceSet`, formed with every other
+reference's in one pass over the epoch. Each candidate carries its set, so
+the reweighting stage reads it instead of forming it again. An epoch is
+checked once, at the fix's edge: its
 :class:`~irlspos.channel.MeasurementSet` when it is built, and its station
 ids against the layout in :func:`solve_all_references`. Range differences
-and rows are formed below that edge without further checks.
+are formed below that edge without further checks.
 """
 
 from __future__ import annotations
@@ -73,9 +75,6 @@ ILL_CONDITIONED = 1e-6
 # an iterate closer than this to a station is nudged off it, in meters
 NUDGE_RADIUS_M = 1e-12
 
-# ((x_e, y_e), ((x_n, y_n, delta_d_n), ...)): one reference's geometry
-ReferenceRows = tuple[tuple[float, float], tuple[tuple[float, float, float], ...]]
-
 
 @dataclass(frozen=True)
 class SolverSettings:
@@ -101,41 +100,33 @@ class SolverSettings:
 @dataclass(frozen=True)
 class CandidateEstimate:
     """Position estimate obtained with one particular reference station,
-    with the reference rows it was solved from."""
+    with the range differences it was solved from."""
 
-    reference_id: int
     position: Position2D
     converged: bool
     iterations_used: int
-    rows: ReferenceRows
+    range_differences: RangeDifferenceSet
+
+    @property
+    def reference_id(self) -> int:
+        return self.range_differences.reference_id
 
     @property
     def residual_norm_m(self) -> float:
         """Euclidean norm of the range-difference residuals at ``position``,
         computed when read."""
-        residuals = residuals_at(self.position.x, self.position.y, self.rows)
+        residuals = residuals_at(self.position.x, self.position.y, self.range_differences)
         return math.sqrt(math.fsum(r * r for r in residuals))
 
 
-def reference_rows(rd: RangeDifferenceSet, layout: StationLayout) -> ReferenceRows:
-    """The reference's coordinates and (x_n, y_n, delta_d_n) per entry, for
-    range differences over the layout's stations."""
-    positions = layout.positions
-    ref = positions[rd.reference_id]
-    rows = tuple((positions[sid].x, positions[sid].y, dd) for sid, dd in rd.entries)
-    return (ref.x, ref.y), rows
-
-
-def residuals_at(x: float, y: float, geometry: ReferenceRows) -> list[float]:
+def residuals_at(x: float, y: float, rd: RangeDifferenceSet) -> list[float]:
     """Residuals r_n = delta_d_n - (||p - q_n|| - ||p - q_e||) at p = (x, y)."""
-    (rx, ry), rows = geometry
+    rx, ry = rd.reference
     dist_e = math.hypot(x - rx, y - ry)
-    return [dd - (math.hypot(x - qx, y - qy) - dist_e) for qx, qy, dd in rows]
+    return [dd - (math.hypot(x - qx, y - qy) - dist_e) for qx, qy, dd in rd.rows]
 
 
-def _gauss_newton_step(
-    x: float, y: float, geometry: ReferenceRows
-) -> tuple[float, float] | None:
+def _gauss_newton_step(x: float, y: float, rd: RangeDifferenceSet) -> tuple[float, float] | None:
     """The step s minimizing ||J s + r|| at p = (x, y).
 
     r_n = delta_d_n - (||p - q_n|| - ||p - q_e||) and the Jacobian row is
@@ -145,14 +136,14 @@ def _gauss_newton_step(
     ``NUDGE_RADIUS_M`` of a station (the Jacobian is undefined on one) or
     the lstsq fallback fails to converge.
     """
-    (rx, ry), rows = geometry
+    rx, ry = rd.reference
     ex, ey = x - rx, y - ry
     dist_e = math.hypot(ex, ey)
     if dist_e < NUDGE_RADIUS_M:
         return None
     ux, uy = ex / dist_e, ey / dist_e
     a = b = c = gx = gy = 0.0
-    for qx, qy, dd in rows:
+    for qx, qy, dd in rd.rows:
         nx, ny = x - qx, y - qy
         dist_n = math.hypot(nx, ny)
         if dist_n < NUDGE_RADIUS_M:
@@ -168,19 +159,19 @@ def _gauss_newton_step(
     det = a * c - b * b
     if det > ILL_CONDITIONED * (a + c) ** 2:
         return (b * gy - c * gx) / det, (b * gx - a * gy) / det
-    return _lstsq_step(x, y, geometry)
+    return _lstsq_step(x, y, rd)
 
 
-def _lstsq_step(x: float, y: float, geometry: ReferenceRows) -> tuple[float, float] | None:
+def _lstsq_step(x: float, y: float, rd: RangeDifferenceSet) -> tuple[float, float] | None:
     """The minimum-norm lstsq step at p = (x, y), off every station, on the
     residuals and Jacobian of :func:`_gauss_newton_step`, rebuilt from the
     same expressions. None if lstsq fails to converge."""
-    (rx, ry), rows = geometry
+    rx, ry = rd.reference
     ex, ey = x - rx, y - ry
     dist_e = math.hypot(ex, ey)
     ux, uy = ex / dist_e, ey / dist_e
     residuals, jacobian = [], []
-    for qx, qy, dd in rows:
+    for qx, qy, dd in rd.rows:
         nx, ny = x - qx, y - qy
         dist_n = math.hypot(nx, ny)
         residuals.append(dd - (dist_n - dist_e))
@@ -213,7 +204,6 @@ def solve_single_reference(
     ensures; it is not checked again here.
     """
     settings = settings or SolverSettings()
-    geometry = reference_rows(rd, layout)
     hypot = math.hypot
     diag = layout.diagonal
     lo_x, lo_y, hi_x, hi_y = layout.solve_box(settings.bounds_margin_m)
@@ -227,11 +217,11 @@ def solve_single_reference(
     # iteration that first produced it
     first_seen: dict[tuple[float, float], int] | None = None
     for iterations in range(1, cap + 1):
-        step = _gauss_newton_step(x, y, geometry)
+        step = _gauss_newton_step(x, y, rd)
         if step is None:
             # on a station, where the Jacobian is undefined: nudge off it once
             x += tolerance
-            step = _gauss_newton_step(x, y, geometry)
+            step = _gauss_newton_step(x, y, rd)
             if step is None:
                 break
         step_x, step_y = step
@@ -259,11 +249,10 @@ def solve_single_reference(
             break
 
     return CandidateEstimate(
-        reference_id=rd.reference_id,
         position=Position2D(x, y),
         converged=converged,
         iterations_used=iterations,
-        rows=geometry,
+        range_differences=rd,
     )
 
 
@@ -280,12 +269,10 @@ def solve_all_references(
     both.
     """
     layout = check_station_layout(stations)
-    if set(m.station_ids) != layout.positions.keys():
+    # both ascend by id, the alignment compute_tdoas relies on
+    layout_ids = tuple(layout.positions)
+    if m.station_ids != layout_ids:
         raise ValueError(
-            f"measurement set stations {m.station_ids} do not match "
-            f"layout {tuple(layout.positions)}"
+            f"measurement set stations {m.station_ids} do not match layout {layout_ids}"
         )
-    return [
-        solve_single_reference(compute_tdoas(m, sid), layout, settings)
-        for sid in layout.positions
-    ]
+    return [solve_single_reference(rd, layout, settings) for rd in compute_tdoas(m, layout)]

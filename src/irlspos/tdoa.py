@@ -1,5 +1,10 @@
 """Formation of reference-relative range differences from raw arrivals.
 
+One pass over an epoch forms every reference's set, each in the form the
+solver and the reweighting loop read: the reference's coordinates, and one
+row (x_n, y_n, delta_d_n) per other station. These are the rows of the
+Taylor-series iteration of Foy (IEEE Trans. AES, 1976).
+
 Range differences are kept SIGNED throughout: once the known transmit
 stagger is removed, the sign of the arrival difference carries geometric
 information that the squared-error objective needs.
@@ -10,39 +15,42 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .channel import MeasurementSet
-from .geometry import SPEED_OF_LIGHT_M_S
+from .geometry import SPEED_OF_LIGHT_M_S, StationLayout
 
 
 @dataclass(frozen=True)
 class RangeDifferenceSet:
     """Signed range differences of every station relative to one reference.
 
-    ``entries`` holds ``(station_id, delta_d_m)`` for each non-reference
-    station, ascending by id; exactly N-1 entries for an N-station epoch.
-    In the library only :func:`compute_tdoas` builds one, from a checked
-    measurement set, so these hold without a check of their own.
+    ``reference`` is the reference's (x_e, y_e); ``rows`` holds one
+    (x_n, y_n, delta_d_n) per other station, ascending by id: exactly N-1
+    rows for an N-station epoch. In the library only :func:`compute_tdoas`
+    builds one, from a checked measurement set and layout, so these hold
+    without a check of their own.
     """
 
     reference_id: int
-    entries: tuple[tuple[int, float], ...]
+    reference: tuple[float, float]
+    rows: tuple[tuple[float, float, float], ...]
 
 
-def compute_tdoas(m: MeasurementSet, reference_id: int) -> RangeDifferenceSet:
-    """Range differences delta_d = c * ((toa_n - toa_e) - delta_ne).
+def compute_tdoas(m: MeasurementSet, layout: StationLayout) -> tuple[RangeDifferenceSet, ...]:
+    """Every reference's set, ascending by reference id, with
+    delta_d = c * ((toa_n - toa_e) - delta_ne).
 
     The transmit-schedule offset delta_ne is known exactly (synchronized
     stations) and cancels out of the arrival difference before scaling by
-    the speed of light. The ToAs are read from one id -> ToA map, ascending
-    by id as the checked measurement set holds them; ``reference_id`` must be
-    one of its stations.
+    the speed of light. ``m`` must hold exactly the layout's stations; both
+    ascend by id, so sample k belongs to the layout's k-th station.
     """
-    toas = dict(m.samples)
-    toa_e = toas[reference_id]
-    entries = []
-    for sid, toa in toas.items():
-        if sid == reference_id:
-            continue
-        offset = m.transmission_offset(sid, reference_id)
-        delta_d = SPEED_OF_LIGHT_M_S * ((toa - toa_e) - offset)
-        entries.append((sid, delta_d))
-    return RangeDifferenceSet(reference_id=reference_id, entries=tuple(entries))
+    samples = m.samples
+    coords = [(p.x, p.y) for p in layout.positions.values()]
+    sets = []
+    for (e, toa_e), reference in zip(samples, coords):
+        rows = tuple(
+            (x, y, SPEED_OF_LIGHT_M_S * ((toa_n - toa_e) - m.transmission_offset(n, e)))
+            for (n, toa_n), (x, y) in zip(samples, coords)
+            if n != e
+        )
+        sets.append(RangeDifferenceSet(e, reference, rows))
+    return tuple(sets)

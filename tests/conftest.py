@@ -18,6 +18,7 @@ from irlspos import (
 )
 from irlspos.geometry import check_station_layout
 from irlspos.presets import cband_profile, corner_stations
+from irlspos.tdoa import RangeDifferenceSet
 
 AOI_W = 29.0
 AOI_H = 25.0
@@ -92,6 +93,27 @@ def fixes(draw, bias=st.just(0.0)):
 
 def translated(p, dx, dy):
     return Position2D(p.x + dx, p.y + dy)
+
+
+def range_difference_set(stations, reference_id, deltas):
+    """A hand-made set: ``deltas`` maps each non-reference station id to its
+    range difference, and coordinates come from ``stations``, as
+    compute_tdoas lays them out (ascending id, reference skipped)."""
+    index = {s.id: s.position for s in stations}
+    ref = index[reference_id]
+    rows = tuple(
+        (index[sid].x, index[sid].y, deltas[sid]) for sid in sorted(index) if sid != reference_id
+    )
+    return RangeDifferenceSet(reference_id, (ref.x, ref.y), rows)
+
+
+def deltas_by_id(rd, stations):
+    """{station id: range difference} of a set: its rows ascend by station
+    id with the reference skipped, so ids come from the station list and
+    never from the rows' coordinates."""
+    ids = sorted(s.id for s in stations if s.id != rd.reference_id)
+    assert len(ids) == len(rd.rows)
+    return {sid: dd for sid, (_, _, dd) in zip(ids, rd.rows)}
 
 
 def toa(m, station_id):

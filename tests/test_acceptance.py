@@ -69,9 +69,10 @@ from irlspos.harness import METHOD_IRLS, METHOD_LS, export_results
 from irlspos.lsq import solve_single_reference
 from irlspos.presets import cband_profile, corner_stations, get_preset
 from irlspos.tdoa import compute_tdoas
-from conftest import AOI_H, AOI_W, exact_measurements
+from conftest import AOI_H, AOI_W, deltas_by_id, exact_measurements
 
 STATIONS = list(corner_stations())
+LAYOUT = check_station_layout(STATIONS)
 CBAND = cband_profile()
 
 
@@ -87,7 +88,7 @@ def test_criterion_1_exact_recovery():
     for _ in range(100):
         ue = Position2D(*rng.uniform([0.5, 0.5], [AOI_W - 0.5, AOI_H - 0.5]))
         m = exact_measurements(ue, STATIONS, CBAND)
-        ls = solve_single_reference(compute_tdoas(m, 1), check_station_layout(STATIONS))
+        ls = solve_single_reference(compute_tdoas(m, LAYOUT)[0], LAYOUT)
         est = irls_position(m, STATIONS)
         worst_ls = max(worst_ls, euclidean_distance(ls.position, ue))
         worst_irls = max(worst_irls, euclidean_distance(est.position, ue))
@@ -115,7 +116,7 @@ def test_criterion_2_outlier_rejection():
         ue = Position2D(*rng.uniform([2.0, 2.0], [AOI_W - 2.0, AOI_H - 2.0]))
         m = exact_measurements(ue, STATIONS, CBAND, biases={biased_id: 10.0})
         est = irls_position(m, STATIONS, irls=u_max)
-        ls = solve_single_reference(compute_tdoas(m, biased_id), check_station_layout(STATIONS))
+        ls = solve_single_reference(compute_tdoas(m, LAYOUT)[0], LAYOUT)
         zero_weight_hits += est.weights[biased_id] == 0.0
         flagged += est.degenerate and est.rejected_station_ids() == all_ids
         ls_err = euclidean_distance(ls.position, ue)
@@ -240,8 +241,9 @@ def test_criterion_5_grid_search_oracle():
         m = emulate_measurement_set(
             ue, stations, links, CBAND, rng_seed=rng, noise_std_m=0.01
         )
-        rd = compute_tdoas(m, 1)
-        cand = solve_single_reference(rd, check_station_layout(stations))
+        layout = check_station_layout(stations)
+        rd = compute_tdoas(m, layout)[0]
+        cand = solve_single_reference(rd, layout)
 
         # independent oracle: exhaustive 1 cm objective scan over the AoI
         xs = np.arange(0.0, AOI_W + 0.005, 0.01)
@@ -251,7 +253,7 @@ def test_criterion_5_grid_search_oracle():
         ref = index[1].position
         dist_e = np.hypot(X - ref.x, Y - ref.y)
         total = np.zeros_like(X)
-        for sid, dd in rd.entries:
+        for sid, dd in deltas_by_id(rd, stations).items():
             q = index[sid].position
             total += (dd - (np.hypot(X - q.x, Y - q.y) - dist_e)) ** 2
         best = np.unravel_index(np.argmin(total), total.shape)

@@ -421,12 +421,6 @@ def test_emulator_projected_3d_offset(stations, band):
     assert toa(m, 1) == pytest.approx(expected, rel=1e-15)
 
 
-def test_link_state_invariant():
-    # a link is LoS exactly when it adds no excess range
-    assert LinkState(1).is_los
-    assert not LinkState(1, nlos_bias_m=2.0).is_los
-
-
 # None and "a" used to raise TypeError, and True counted as a 1 m bias
 @pytest.mark.parametrize(
     "bias", [-0.5, math.nan, math.inf, None, "a", [2.0], True],

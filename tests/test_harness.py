@@ -114,7 +114,7 @@ def test_both_methods_consume_identical_measurements():
     batch = run_batch(cfg)
     layout = check_station_layout(cfg.stations)
     poi = cfg.pois[1]
-    ls = solve_single_reference(compute_tdoas(m1, 1), layout, cfg.solver)
+    ls = solve_single_reference(compute_tdoas(m1, layout)[0], layout, cfg.solver)
     est = irls_position(m1, layout, cfg.solver, cfg.irls)
     recorded = {
         (t.method): t

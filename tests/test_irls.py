@@ -30,20 +30,25 @@ from irlspos import (
 )
 from irlspos import irls as irls_module
 from irlspos import lsq, tdoa
+from irlspos.geometry import check_station_layout
 from irlspos.lsq import CandidateEstimate, solve_all_references
 from irlspos.presets import cband_profile, corner_stations
-from irlspos.tdoa import compute_tdoas
-from conftest import AOI_H, AOI_W, exact_measurements, fixes
+from irlspos.tdoa import RangeDifferenceSet, compute_tdoas
+from conftest import AOI_H, AOI_W, deltas_by_id, exact_measurements, fixes
 
 
 def scripted_oracle(m, stations, ls_settings=None, irls_settings=None):
     """Direct transcription of the reweighting procedure, kept free of the
-    production loop's internals."""
+    production loop's internals: station coordinates come from the station
+    list, by id."""
     irls_settings = irls_settings or IrlsSettings()
     candidates = solve_all_references(m, stations, ls_settings)
     positions = [(c.position.x, c.position.y) for c in candidates]
     refs = [c.reference_id for c in candidates]
-    rd = {e: compute_tdoas(m, e) for e in refs}
+    deltas = {
+        s.reference_id: deltas_by_id(s, stations)
+        for s in compute_tdoas(m, check_station_layout(stations))
+    }
     index = {s.id: s for s in stations}
     n = len(refs)
 
@@ -58,7 +63,7 @@ def scripted_oracle(m, stations, ls_settings=None, irls_settings=None):
         for e in refs:
             de = math.hypot(q[0] - index[e].position.x, q[1] - index[e].position.y)
             total = 0.0
-            for sid, dd in rd[e].entries:
+            for sid, dd in deltas[e].items():
                 dn = math.hypot(q[0] - index[sid].position.x, q[1] - index[sid].position.y)
                 total += abs(dd - (dn - de))
             u = total / (n - 1)
@@ -205,7 +210,7 @@ def test_uncertainty_is_the_mean_absolute_residual(stations, band, monkeypatch):
     assert est.iterations > 1 and len(seen) == 4 * est.iterations
     for i, q in enumerate(fused[: est.iterations]):
         for c, u in zip(candidates, seen[4 * i : 4 * i + 4]):
-            residuals = lsq.residuals_at(q.x, q.y, c.rows)
+            residuals = lsq.residuals_at(q.x, q.y, c.range_differences)
             assert u == math.fsum(abs(r) for r in residuals) / len(residuals)
 
 
@@ -213,7 +218,7 @@ def test_uncertainty_is_the_mean_absolute_residual(stations, band, monkeypatch):
 
 def _cands_at(points):
     return [
-        CandidateEstimate(i + 1, Position2D(*p), True, 1, (p, ()))
+        CandidateEstimate(Position2D(*p), True, 1, RangeDifferenceSet(i + 1, p, ()))
         for i, p in enumerate(points)
     ]
 
@@ -367,23 +372,24 @@ def test_iteration_budget_is_respected(stations, band):
 
 @pytest.mark.parametrize("n", [3, 4, 8])
 def test_each_reference_is_formed_once_per_fix(n, band, monkeypatch):
-    # one range-difference set and one set of solver rows per reference: the
-    # candidates carry their rows into the loop, which forms none again
+    # one pass forms every reference's set: the candidates carry those sets
+    # into the loop, which forms none again
     stations = ring_stations(n)
     m = exact_measurements(Position2D(13.0, 11.0), stations, band, biases={2: 2.0})
-    calls = dict.fromkeys(("compute_tdoas", "reference_rows"), 0)
-    for name in calls:
-        original = getattr(lsq, name)
+    formed = []
+    original = tdoa.compute_tdoas
 
-        def counting(*args, name=name, original=original):
-            calls[name] += 1
-            return original(*args)
+    def recording(*args):
+        formed.append(original(*args))
+        return formed[-1]
 
-        for module in (tdoa, lsq, irls_module):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counting)
-    irls_position(m, stations)
-    assert calls == {"compute_tdoas": n, "reference_rows": n}
+    for module in (tdoa, lsq, irls_module):
+        if hasattr(module, "compute_tdoas"):
+            monkeypatch.setattr(module, "compute_tdoas", recording)
+    est = irls_position(m, stations)
+    assert len(formed) == 1 and len(formed[0]) == n
+    for c, rd in zip(est.candidates, formed[0], strict=True):
+        assert c.range_differences is rd
 
 
 def test_loop_computes_no_residual_vectors(stations, band, monkeypatch):
@@ -417,7 +423,7 @@ def test_loop_computes_no_residual_vectors(stations, band, monkeypatch):
 )
 def test_station_set_mismatch_is_rejected(epoch_ids, stations):
     # the one check of an epoch against the layout; below it, range
-    # differences and solver rows are formed unchecked
+    # differences are formed unchecked
     m = MeasurementSet(epoch_id=0, samples=tuple((sid, sid * 1e-8) for sid in epoch_ids))
     expected = f"measurement set stations {epoch_ids} do not match layout (1, 2, 3, 4)"
     with pytest.raises(ValueError, match=re.escape(expected)):

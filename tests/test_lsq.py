@@ -18,16 +18,24 @@ from irlspos import (
 from irlspos import lsq
 from irlspos.geometry import check_station_layout
 from irlspos.harness import emulate_trial_measurements, run_batch
-from irlspos.lsq import (
-    _gauss_newton_step,
-    reference_rows,
-    residuals_at,
-    solve_all_references,
-    solve_single_reference,
-)
+from irlspos.lsq import _gauss_newton_step, solve_all_references, solve_single_reference
 from irlspos.presets import PRESET_NAMES, cband_profile, corner_stations, get_preset
-from irlspos.tdoa import RangeDifferenceSet, compute_tdoas
-from conftest import AOI_H, AOI_W, exact_measurements, fixes, station_layouts, translated
+from irlspos.tdoa import compute_tdoas
+from conftest import (
+    AOI_H,
+    AOI_W,
+    deltas_by_id,
+    exact_measurements,
+    fixes,
+    range_difference_set,
+    station_layouts,
+    translated,
+)
+
+
+def first_reference(m, stations):
+    """The set compute_tdoas forms for the lowest station id."""
+    return compute_tdoas(m, check_station_layout(stations))[0]
 
 
 def grid_search_minimum(rd, stations, step=0.01, x_max=AOI_W, y_max=AOI_H):
@@ -39,7 +47,7 @@ def grid_search_minimum(rd, stations, step=0.01, x_max=AOI_W, y_max=AOI_H):
     ref = index[rd.reference_id].position
     dist_e = np.hypot(X - ref.x, Y - ref.y)
     total = np.zeros_like(X)
-    for sid, dd in rd.entries:
+    for sid, dd in deltas_by_id(rd, stations).items():
         q = index[sid].position
         total += (dd - (np.hypot(X - q.x, Y - q.y) - dist_e)) ** 2
     i = np.unravel_index(np.argmin(total), total.shape)
@@ -55,10 +63,9 @@ def residual_vector_and_jacobian(p, rd, stations):
     (p - q_e)/||p - q_e||); it is undefined when p coincides with a station.
     """
     index = {s.id: s for s in stations}
-    coords = np.array(
-        [(index[sid].position.x, index[sid].position.y) for sid, _ in rd.entries]
-    )
-    deltas = np.array([dd for _, dd in rd.entries])
+    deltas_of = deltas_by_id(rd, stations)
+    coords = np.array([(index[sid].position.x, index[sid].position.y) for sid in deltas_of])
+    deltas = np.array(list(deltas_of.values()))
     ref = index[rd.reference_id].position
     pt = np.array([p.x, p.y])
     diff_n = pt - coords
@@ -85,16 +92,18 @@ def lstsq_step(p, rd, stations):
 
 def closed_form_step(p, rd, stations):
     """The solver's own step arithmetic, for bit-for-bit loop comparisons."""
-    geometry = reference_rows(rd, check_station_layout(stations))
-    step = _gauss_newton_step(float(p[0]), float(p[1]), geometry)
+    step = _gauss_newton_step(float(p[0]), float(p[1]), rd)
     return None if step is None else np.array(step)
 
 
 def reference_step(p, rd, stations):
     """The closed-form step as first written: it builds the residual vector
     and the Jacobian on every step, whichever path then uses them. The
-    solver must reproduce it bit for bit, the lstsq fallback included."""
-    (rx, ry), rows = reference_rows(rd, check_station_layout(stations))
+    solver must reproduce it bit for bit, the lstsq fallback included.
+    Station coordinates come from the station list, by id."""
+    index = {s.id: s.position for s in stations}
+    rx, ry = index[rd.reference_id].x, index[rd.reference_id].y
+    rows = [(index[sid].x, index[sid].y, dd) for sid, dd in deltas_by_id(rd, stations).items()]
     x, y = float(p[0]), float(p[1])
     ex, ey = x - rx, y - ry
     dist_e = math.hypot(ex, ey)
@@ -188,9 +197,8 @@ def test_candidates_match_lstsq_oracle_on_presets(preset, lstsq_calls):
             lstsq_calls["on"] = True
             candidates = solve_all_references(m, stations, cfg.solver)
             lstsq_calls["on"] = False
-            for c in candidates:
-                rd = compute_tdoas(m, c.reference_id)
-                assert c.rows == reference_rows(rd, layout)
+            for c, rd in zip(candidates, compute_tdoas(m, layout), strict=True):
+                assert c.range_differences == rd
                 position, converged, iterations = lstsq_oracle(rd, stations, cfg.solver)
                 assert euclidean_distance(c.position, position) < 1e-9
                 assert (c.converged, c.iterations_used) == (converged, iterations)
@@ -209,7 +217,7 @@ ILL_POSED_STATIONS = [
     BaseStation(2, Position2D(10.0, 0.0)),
     BaseStation(3, Position2D(0.0, 10.0)),
 ]
-ILL_POSED_RD = RangeDifferenceSet(reference_id=1, entries=((2, 3.0), (3, 1.0)))
+ILL_POSED_RD = range_difference_set(ILL_POSED_STATIONS, 1, {2: 3.0, 3: 1.0})
 
 
 @pytest.mark.parametrize(
@@ -251,9 +259,10 @@ THIN_STATIONS = [
 def test_thin_layout_solve_falls_back_to_lstsq(reference, lstsq_calls):
     ue = Position2D(12.0, 5e-4)
     ranges = {s.id: euclidean_distance(ue, s.position) for s in THIN_STATIONS}
-    rd = RangeDifferenceSet(
+    rd = range_difference_set(
+        THIN_STATIONS,
         reference,
-        tuple((sid, r - ranges[reference]) for sid, r in ranges.items() if sid != reference),
+        {sid: r - ranges[reference] for sid, r in ranges.items() if sid != reference},
     )
     lstsq_calls["on"] = True
     cand = solve_single_reference(rd, check_station_layout(THIN_STATIONS))
@@ -279,7 +288,7 @@ def test_start_on_a_station_is_nudged(band):
             m = exact_measurements(ue, CENTRE_STATIONS, band)
             for c in solve_all_references(m, layout):
                 assert euclidean_distance(c.position, ue) < 1e-9
-                rd = compute_tdoas(m, c.reference_id)
+                rd = c.range_differences
                 # the station scan the nudge replaced, step for step
                 exact = lstsq_oracle(rd, CENTRE_STATIONS, step_fn=closed_form_step)
                 assert (c.position, c.converged, c.iterations_used) == exact
@@ -327,10 +336,11 @@ def test_pinned_solve_exits_at_first_repeat(poi, trial, reference, period, gn_st
     cfg = get_preset("semidynamic_cband")
     stations = sorted(cfg.stations, key=lambda s: s.id)
     m, _ = emulate_trial_measurements(cfg, poi, trial)
-    rd = compute_tdoas(m, reference)
+    layout = check_station_layout(stations)
+    (rd,) = (r for r in compute_tdoas(m, layout) if r.reference_id == reference)
     cap = cfg.solver.max_iterations
 
-    cand = solve_single_reference(rd, check_station_layout(stations), cfg.solver)
+    cand = solve_single_reference(rd, layout, cfg.solver)
     assert gn_steps["count"] < cap
 
     position, converged, iterations = lstsq_oracle(rd, stations, cfg.solver, closed_form_step)
@@ -374,8 +384,8 @@ def biased_layouts(draw):
         for s in stations
     }
     reference = draw(st.sampled_from(ids))
-    entries = tuple((sid, ranges[sid] - ranges[reference]) for sid in ids if sid != reference)
-    return RangeDifferenceSet(reference, entries), stations
+    deltas = {sid: ranges[sid] - ranges[reference] for sid in ids if sid != reference}
+    return range_difference_set(stations, reference, deltas), stations
 
 
 @settings(max_examples=300)
@@ -392,14 +402,19 @@ def test_solver_equals_capped_loop_on_biased_layouts(case):
 # --- objective ------------------------------------------------------------------
 
 def objective(p, rd, stations):
-    """Sum of squared range-difference residuals at position p, in m^2."""
-    residuals = residuals_at(p.x, p.y, reference_rows(rd, check_station_layout(stations)))
-    return math.fsum(r * r for r in residuals)
+    """Sum of squared range-difference residuals at position p, in m^2, with
+    station coordinates from the station list."""
+    index = {s.id: s.position for s in stations}
+    dist_e = euclidean_distance(p, index[rd.reference_id])
+    return math.fsum(
+        (dd - (euclidean_distance(p, index[sid]) - dist_e)) ** 2
+        for sid, dd in deltas_by_id(rd, stations).items()
+    )
 
 
 def test_objective_zero_at_truth(stations, band):
     ue = Position2D(11.0, 7.0)
-    rd = compute_tdoas(exact_measurements(ue, stations, band), 1)
+    rd = first_reference(exact_measurements(ue, stations, band), stations)
     assert objective(ue, rd, stations) < 1e-18
 
 
@@ -409,17 +424,16 @@ def test_objective_zero_for_all_zero_entries_on_bisectors(band):
         BaseStation(2, Position2D(3, 4)),
         BaseStation(3, Position2D(5, 0)),
     ]
-    rd = compute_tdoas(exact_measurements(Position2D(0, 0), stations, band), 1)
+    rd = first_reference(exact_measurements(Position2D(0, 0), stations, band), stations)
     assert objective(Position2D(0, 0), rd, stations) < 1e-18
 
 
 def test_objective_single_perturbed_residual(stations, band):
     ue = Position2D(11.0, 7.0)
-    rd = compute_tdoas(exact_measurements(ue, stations, band), 1)
-    entries = tuple(
-        (sid, dd + (1.0 if sid == 3 else 0.0)) for sid, dd in rd.entries
-    )
-    perturbed = type(rd)(reference_id=rd.reference_id, entries=entries)
+    rd = first_reference(exact_measurements(ue, stations, band), stations)
+    deltas = deltas_by_id(rd, stations)
+    deltas[3] += 1.0
+    perturbed = range_difference_set(stations, rd.reference_id, deltas)
     assert objective(ue, perturbed, stations) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -427,7 +441,7 @@ def test_objective_single_perturbed_residual(stations, band):
 
 def test_center_ue_recovered_exactly(stations, band):
     ue = Position2D(14.5, 12.5)
-    rd = compute_tdoas(exact_measurements(ue, stations, band), 1)
+    rd = first_reference(exact_measurements(ue, stations, band), stations)
     cand = solve_single_reference(rd, check_station_layout(stations))
     assert euclidean_distance(cand.position, ue) < 1e-6
     assert cand.converged
@@ -435,7 +449,7 @@ def test_center_ue_recovered_exactly(stations, band):
 
 def test_solution_matches_grid_search_oracle(stations, band):
     ue = Position2D(5.0, 7.0)
-    rd = compute_tdoas(exact_measurements(ue, stations, band), 1)
+    rd = first_reference(exact_measurements(ue, stations, band), stations)
     cand = solve_single_reference(rd, check_station_layout(stations))
     oracle, _ = grid_search_minimum(rd, stations)
     assert euclidean_distance(cand.position, oracle) < 2e-2
@@ -444,7 +458,7 @@ def test_solution_matches_grid_search_oracle(stations, band):
 def test_minimizer_dominates_truth_under_bias(stations, band):
     ue = Position2D(9.0, 13.0)
     m = exact_measurements(ue, stations, band, biases={3: 10.0})
-    rd = compute_tdoas(m, 1)  # reference clean
+    rd = first_reference(m, stations)  # reference clean
     cand = solve_single_reference(rd, check_station_layout(stations))
     assert euclidean_distance(cand.position, ue) > 0.1
     assert objective(cand.position, rd, stations) <= objective(ue, rd, stations)
@@ -522,7 +536,7 @@ def test_three_station_minimum_yields_three_candidates(band):
 def test_jacobian_matches_central_differences(stations, band):
     rng = np.random.default_rng(11)
     ue = Position2D(8.0, 14.0)
-    rd = compute_tdoas(exact_measurements(ue, stations, band), 1)
+    rd = first_reference(exact_measurements(ue, stations, band), stations)
     h = 1e-6
     for _ in range(100):
         p = Position2D(*rng.uniform([0.5, 0.5], [AOI_W - 0.5, AOI_H - 0.5]))
@@ -545,7 +559,7 @@ def test_zero_noise_objective_below_1e_10(stations, band):
     rng = np.random.default_rng(12)
     for _ in range(20):
         ue = Position2D(*rng.uniform([1, 1], [AOI_W - 1, AOI_H - 1]))
-        rd = compute_tdoas(exact_measurements(ue, stations, band), 1)
+        rd = first_reference(exact_measurements(ue, stations, band), stations)
         cand = solve_single_reference(rd, check_station_layout(stations))
         assert objective(cand.position, rd, stations) < 1e-10
 

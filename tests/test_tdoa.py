@@ -2,24 +2,34 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from irlspos import (
+    SPEED_OF_LIGHT_M_S,
     BaseStation,
     ConfigError,
     MeasurementSet,
     Position2D,
     euclidean_distance,
 )
+from irlspos.geometry import check_station_layout
 from irlspos.tdoa import compute_tdoas
-from conftest import exact_measurements
+from conftest import deltas_by_id, exact_measurements, station_layouts
+
+TRIANGLE = [
+    BaseStation(1, Position2D(0.0, 0.0)),
+    BaseStation(2, Position2D(10.0, 0.0)),
+    BaseStation(3, Position2D(0.0, 10.0)),
+]
 
 
 def test_identical_arrivals_give_zero():
     m = MeasurementSet(epoch_id=0, samples=((1, 5e-8), (2, 5e-8), (3, 5e-8)))
-    rd = compute_tdoas(m, 1)
-    assert [sid for sid, _ in rd.entries] == [2, 3]
-    for _, dd in rd.entries:
-        assert dd == 0.0
+    sets = compute_tdoas(m, check_station_layout(TRIANGLE))
+    assert [rd.reference_id for rd in sets] == [1, 2, 3]
+    for rd in sets:
+        assert [dd for _, _, dd in rd.rows] == [0.0, 0.0]
 
 
 def test_equidistant_stations_give_zero(band):
@@ -29,9 +39,9 @@ def test_equidistant_stations_give_zero(band):
         BaseStation(3, Position2D(5, 0)),
     ]
     m = exact_measurements(Position2D(0, 0), stations, band)
-    rd = compute_tdoas(m, 1)
-    for _, dd in rd.entries:
-        assert dd == pytest.approx(0.0, abs=1e-9)
+    for rd in compute_tdoas(m, check_station_layout(stations)):
+        for _, _, dd in rd.rows:
+            assert dd == pytest.approx(0.0, abs=1e-9)
 
 
 def test_schedule_offset_is_removed(band):
@@ -45,8 +55,8 @@ def test_schedule_offset_is_removed(band):
     m = exact_measurements(
         Position2D(0, 0), stations, band, schedule_period_s=0.010
     )
-    rd = compute_tdoas(m, 1)
-    deltas = dict(rd.entries)
+    rd = compute_tdoas(m, check_station_layout(stations))[0]
+    deltas = deltas_by_id(rd, stations)
     assert deltas[2] == pytest.approx(5.0, abs=1e-6)
     assert deltas[3] == pytest.approx(0.0, abs=1e-6)
 
@@ -54,14 +64,14 @@ def test_schedule_offset_is_removed(band):
 def test_zero_noise_tdoas_match_prediction(stations, band):
     rng = np.random.default_rng(10)
     index = {s.id: s for s in stations}
+    layout = check_station_layout(stations)
     for _ in range(20):
         ue = Position2D(*rng.uniform([1, 1], [28, 24]))
         m = exact_measurements(ue, stations, band)
-        for ref in index:
-            rd = compute_tdoas(m, ref)
-            for sid, dd in rd.entries:
+        for rd in compute_tdoas(m, layout):
+            for sid, dd in deltas_by_id(rd, stations).items():
                 expected = euclidean_distance(ue, index[sid].position) - euclidean_distance(
-                    ue, index[ref].position
+                    ue, index[rd.reference_id].position
                 )
                 assert dd == pytest.approx(expected, abs=1e-12)
 
@@ -72,20 +82,52 @@ def test_zero_noise_tdoas_match_prediction_with_stagger(stations, band):
     ue = Position2D(8.0, 17.0)
     index = {s.id: s for s in stations}
     m = exact_measurements(ue, stations, band, schedule_period_s=0.010)
-    for ref in index:
-        for sid, dd in compute_tdoas(m, ref).entries:
+    for rd in compute_tdoas(m, check_station_layout(stations)):
+        for sid, dd in deltas_by_id(rd, stations).items():
             expected = euclidean_distance(ue, index[sid].position) - euclidean_distance(
-                ue, index[ref].position
+                ue, index[rd.reference_id].position
             )
             assert dd == pytest.approx(expected, abs=1e-7)
 
 
-def test_entries_exclude_reference_and_sort():
-    # the measurement set sorts its samples once; the entries keep that order
+def test_rows_exclude_reference_and_sort():
+    # the measurement set sorts its samples once; the rows keep that order
     m = MeasurementSet(epoch_id=0, samples=((3, 3e-8), (1, 1e-8), (2, 2e-8)))
-    rd = compute_tdoas(m, 2)
+    rd = compute_tdoas(m, check_station_layout(TRIANGLE))[1]
     assert rd.reference_id == 2
-    assert [sid for sid, _ in rd.entries] == [1, 3]
+    assert rd.reference == (10.0, 0.0)
+    assert [(x, y) for x, y, _ in rd.rows] == [(0.0, 0.0), (0.0, 10.0)]
+
+
+@given(
+    stations=station_layouts(),
+    flight_s=st.lists(st.floats(0.0, 2e-7), min_size=8, max_size=8),
+    period_s=st.floats(0.0, 0.02),
+)
+def test_formation_over_drawn_layouts(stations, flight_s, period_s):
+    # one set per reference, ascending; each row holds the coordinates of the
+    # station it stands for and the schedule-corrected arrival difference
+    samples = tuple(
+        (s.id, (s.id - 1) * period_s + t) for s, t in zip(stations, flight_s)
+    )
+    m = MeasurementSet(epoch_id=0, samples=samples, schedule_period_s=period_s)
+    sets = compute_tdoas(m, check_station_layout(stations))
+    ids = sorted(s.id for s in stations)
+    position = {s.id: s.position for s in stations}
+    toas = dict(m.samples)
+    assert [rd.reference_id for rd in sets] == ids
+    delta = {}
+    for rd in sets:
+        e = rd.reference_id
+        assert rd.reference == (position[e].x, position[e].y)
+        others = [n for n in ids if n != e]
+        assert len(rd.rows) == len(ids) - 1
+        for n, (x, y, dd) in zip(others, rd.rows):
+            assert (x, y) == (position[n].x, position[n].y)
+            assert dd == SPEED_OF_LIGHT_M_S * ((toas[n] - toas[e]) - m.transmission_offset(n, e))
+            delta[n, e] = dd
+    for (n, e), dd in delta.items():
+        assert dd == pytest.approx(-delta[e, n], abs=1e-9)
 
 
 @pytest.mark.parametrize(
