@@ -159,6 +159,21 @@ class MeasurementSet:
             raise ConfigError(f"duplicate station ids in measurement set: {ids}")
         if self.schedule_period_s < 0:
             raise ConfigError(f"schedule_period_s must be >= 0, got {self.schedule_period_s!r}")
+        # every range difference the TDoA stage forms must be finite; the
+        # (e, n) one is the negation of the (n, e) one
+        for i, (n, toa_n) in enumerate(ordered):
+            for e, toa_e in ordered[:i]:
+                try:
+                    offset = self.transmission_offset(n, e)
+                except OverflowError:
+                    offset = math.inf
+                if not math.isfinite(SPEED_OF_LIGHT_M_S * ((toa_n - toa_e) - offset)):
+                    raise ConfigError(
+                        f"stations {n} and {e}: range difference "
+                        f"c*((toa_n - toa_e) - delta_ne) is not finite for ToAs "
+                        f"{toa_n!r} s and {toa_e!r} s, schedule_period_s "
+                        f"{self.schedule_period_s!r}"
+                    )
 
     @property
     def station_ids(self) -> tuple[int, ...]:

@@ -49,8 +49,6 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
 
-import yaml
-
 from .channel import BandProfile
 from .errors import ConfigError, GeometryError
 from .geometry import (
@@ -64,6 +62,9 @@ from .geometry import (
 )
 from .irls import IrlsSettings
 from .lsq import SolverSettings
+
+# PoI and trial indices are each one 32-bit word of a trial's seed key
+SEED_KEY_LIMIT = 2**32
 
 # accepted for scenario fidelity, never read by any computation
 UNUSED_FIDELITY_FIELDS = (
@@ -148,6 +149,8 @@ class ScenarioConfig:
             raise ConfigError(f"stations: {exc}") from exc
         if len(self.pois) < 1:
             raise ConfigError("pois: need at least one point of interest")
+        if len(self.pois) >= SEED_KEY_LIMIT:
+            raise ConfigError(f"pois: need fewer than 2**32 points, got {len(self.pois)}")
         # every solver iterate is clamped to this box, so a PoI outside it
         # could never be estimated
         lo_x, lo_y, hi_x, hi_y = layout.solve_box(self.solver.bounds_margin_m)
@@ -165,8 +168,10 @@ class ScenarioConfig:
             )
         if self.schedule_period_s < 0:
             raise ConfigError(f"schedule_period_s must be >= 0, got {self.schedule_period_s!r}")
-        if self.trials_per_poi < 1:
-            raise ConfigError(f"trials_per_poi must be >= 1, got {self.trials_per_poi!r}")
+        if not 1 <= self.trials_per_poi < SEED_KEY_LIMIT:
+            raise ConfigError(
+                f"trials_per_poi must be in [1, 2**32), got {self.trials_per_poi!r}"
+            )
         if self.root_seed < 0:
             raise ConfigError(f"root_seed must be >= 0, got {self.root_seed!r}")
         if self.noise_override_m is not None and self.noise_override_m < 0:
@@ -286,6 +291,8 @@ def load_config(path_or_preset: str | Path) -> ScenarioConfig:
             f"config file not found: {path} (and not a preset; "
             f"presets are {', '.join(presets.PRESET_NAMES)})"
         )
+    import yaml  # deferred: a preset never reads YAML
+
     try:
         raw = yaml.safe_load(path.read_text())
     except yaml.YAMLError as exc:

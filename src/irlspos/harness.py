@@ -10,6 +10,16 @@ draws therefore depend only on the root seed and trial coordinates, never on
 the band, so two configs that differ only in band parameters see identical
 outliers.
 
+numpy's ``SeedSequence`` stays the definition, and :func:`trial_rngs` builds
+one trial's generators with it. :func:`run_batch` takes its trials in blocks
+of ``SEED_BLOCK_TRIALS`` and computes every child's PCG64 seed words for a
+block in one array pass (:func:`block_trial_rngs`). The pass repeats
+``SeedSequence``'s hash on uint32 lanes, one lane per child: the root
+seed's words mixed into the 4-word pool, then the key words (poi, trial, i),
+then ``generate_state(4, uint64)``. Each key word must fit in 32 bits, which
+``ScenarioConfig`` checks. Each trial still gets two fresh generators of its
+own, in the same states as ``trial_rngs`` gives.
+
 Both methods consume the identical measurement set per trial: the robust
 method rotates references and reweights, and LS is its candidate for the
 lowest station id, the fixed-reference solve on the same range differences,
@@ -18,9 +28,13 @@ so each trial runs one solve per station.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator, Sequence
+
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .channel import LinkState, MeasurementSet, emulate_measurement_set
 from .config import ScenarioConfig
@@ -39,6 +53,16 @@ METHODS = (METHOD_LS, METHOD_IRLS)
 
 # 90th-percentile rule: linear interpolation at fractional index (n-1)*q
 P90_QUANTILE = 90.0
+
+# trials whose generator seeds one array pass computes: the pass's arrays
+# stay this small whatever the batch size
+SEED_BLOCK_TRIALS = 1024
+
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 
 @dataclass(frozen=True)
@@ -87,6 +111,77 @@ def trial_rngs(
     return np.random.default_rng(link_ss), np.random.default_rng(noise_ss)
 
 
+def _hash_constants(start: int, mult: int, steps: int) -> np.ndarray:
+    """The hash constant before each of ``steps`` hash steps and after the
+    last, shaped to broadcast over (step, trial, child) lanes."""
+    consts = [start]
+    for _ in range(steps):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None, None]
+
+
+def _hash(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """One SeedSequence hash step per constant: xor with the constant, times
+    the next one, then an xorshift; uint32 lanes wrap as the C code does."""
+    hashed = (words ^ consts[:-1]) * consts[1:]
+    return hashed ^ (hashed >> 16)
+
+
+# generate_state(4, uint64) hashes pool words 0-3, 0-3 into 8 uint32 words
+_STATE_CONSTS = _hash_constants(_INIT_B, _MULT_B, 8)
+_STATE_SLOTS = np.arange(8) % 4
+
+
+def _seed_words(root_seed: int, keys: np.ndarray) -> np.ndarray:
+    """``SeedSequence(root_seed, spawn_key=(poi, trial, i)).generate_state(4,
+    np.uint64)`` for each (poi, trial) row of the uint32 array ``keys`` and
+    each child i in (0, 1): shape (len(keys), 2, 4)."""
+    # with a spawn key, the root's words are zero-padded to the 4-word pool:
+    # 16 hash steps fill and cross-mix it, and each word past the fourth takes
+    # 4 more. SeedSequence(root_seed).pool is that prefix, since its pool
+    # hashes a zero for each missing word.
+    root_words = max(1, -(-root_seed.bit_length() // 32))
+    prefix_steps = 16 + 4 * max(0, root_words - 4)
+    consts = _hash_constants(
+        _INIT_A * pow(_MULT_A, prefix_steps, 1 << 32) & _MASK32, _MULT_A, 12
+    )
+    pool = np.random.SeedSequence(root_seed).pool[:, None, None]
+    # each key word is hashed once per pool word, with 4 successive constants
+    key_words = (keys[:, :1], keys[:, 1:], np.arange(2, dtype=np.uint32))
+    for k, word in enumerate(key_words):
+        pool = pool * _MIX_MULT_L - _hash(word, consts[4 * k : 4 * k + 5]) * _MIX_MULT_R
+        pool ^= pool >> 16
+    state = np.moveaxis(_hash(pool[_STATE_SLOTS], _STATE_CONSTS), 0, -1)
+    # as generate_state does: little-endian word pairs, read as uint64
+    return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+class _SeedWords(ISeedSequence):
+    """A child's ``generate_state(4, uint64)`` words, computed in advance.
+    It seeds one fresh PCG64, which asks for exactly those, so it returns
+    them whatever it is asked."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def block_trial_rngs(
+    root_seed: int, keys: Sequence[tuple[int, int]]
+) -> Iterator[tuple[np.random.Generator, np.random.Generator]]:
+    """For each (poi_index, trial_index) of ``keys``, in order, fresh
+    generators in the states ``trial_rngs`` gives, seeded by one array pass.
+    Every key must be below 2**32."""
+    words = _seed_words(root_seed, np.array(keys, dtype=np.uint32).reshape(-1, 2))
+    for link_words, noise_words in words:
+        yield (
+            np.random.default_rng(_SeedWords(link_words)),
+            np.random.default_rng(_SeedWords(noise_words)),
+        )
+
+
 def draw_link_states(cfg: ScenarioConfig, rng: np.random.Generator) -> list[LinkState]:
     """Per-station Bernoulli NLoS flips and bias draws, ascending id order."""
     links = []
@@ -98,10 +193,17 @@ def draw_link_states(cfg: ScenarioConfig, rng: np.random.Generator) -> list[Link
 
 
 def emulate_trial_measurements(
-    cfg: ScenarioConfig, poi_index: int, trial_index: int
+    cfg: ScenarioConfig,
+    poi_index: int,
+    trial_index: int,
+    rngs: tuple[np.random.Generator, np.random.Generator] | None = None,
 ) -> tuple[MeasurementSet, list[LinkState]]:
-    """The measurement set both methods consume for one (PoI, trial)."""
-    link_rng, noise_rng = trial_rngs(cfg.root_seed, poi_index, trial_index)
+    """The measurement set both methods consume for one (PoI, trial).
+    ``rngs`` are the trial's fresh (link/bias, noise) generators, by default
+    those of :func:`trial_rngs`."""
+    if rngs is None:
+        rngs = trial_rngs(cfg.root_seed, poi_index, trial_index)
+    link_rng, noise_rng = rngs
     links = draw_link_states(cfg, link_rng)
     mset = emulate_measurement_set(
         cfg.pois[poi_index],
@@ -123,14 +225,17 @@ def run_batch(cfg: ScenarioConfig) -> TrialBatch:
     Solver failures surface as large errors on flagged candidates, never as
     batch aborts; the batch counts degenerate trials and non-converged
     candidates from the estimates it already holds. Deterministic given the
-    config and root seed.
+    config and root seed: trials run PoI by PoI, and each block of
+    ``SEED_BLOCK_TRIALS`` of them is seeded in one pass.
     """
     layout = check_station_layout(cfg.stations)
     records: list[TrialRecord] = []
     degenerate = nonconverged = 0
-    for poi_index, poi in enumerate(cfg.pois):
-        for trial_index in range(cfg.trials_per_poi):
-            mset, _ = emulate_trial_measurements(cfg, poi_index, trial_index)
+    pairs = itertools.product(range(len(cfg.pois)), range(cfg.trials_per_poi))
+    while block := list(itertools.islice(pairs, SEED_BLOCK_TRIALS)):
+        for (poi_index, trial_index), rngs in zip(block, block_trial_rngs(cfg.root_seed, block)):
+            poi = cfg.pois[poi_index]
+            mset, _ = emulate_trial_measurements(cfg, poi_index, trial_index, rngs=rngs)
             estimate = irls_position(mset, layout, cfg.solver, cfg.irls)
             # candidates ascend by reference id: the first is fixed-reference LS
             ls_candidate = estimate.candidates[0]

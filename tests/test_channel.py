@@ -15,13 +15,16 @@ from irlspos import (
     BandProfile,
     BaseStation,
     ConfigError,
+    IrlsSettings,
     LinkState,
     MeasurementSet,
     MultipathComponent,
     Position2D,
+    SolverSettings,
     emulate_measurement_set,
     estimate_toa_from_waveform,
     euclidean_distance,
+    irls_position,
     make_multipath_components,
     raised_cosine_pulse,
     synthesize_received_waveform,
@@ -108,6 +111,40 @@ BAD_PERIOD = "schedule_period_s: expected a finite number"
 def test_measurement_set_rejects_malformed_epochs(samples, schedule_period_s, match):
     with pytest.raises(ConfigError, match=match):
         MeasurementSet(0, samples, schedule_period_s)
+
+
+FOUR_SAMPLES = ((1, 1e-8), (2, 2e-8), (3, 3e-8), (4, 4e-8))
+
+
+# a 1e300 s ToA used to reach the solver, print LAPACK's DLASCL complaint 12
+# times on stderr, and fail on a NaN candidate instead of on the epoch
+@pytest.mark.parametrize(
+    "samples,schedule_period_s,pair",
+    [
+        pytest.param(((1, 1e-8), (2, 1e300), (3, 3e-8), (4, 4e-8)), 0.0, "2 and 1", id="huge-toa"),
+        pytest.param(FOUR_SAMPLES, 1e300, "2 and 1", id="huge-period"),
+        pytest.param(((1, 1e-8), (2, -5e299), (3, 3e-8), (4, 5e299)), 0.0, "4 and 2", id="wide-toas"),
+        pytest.param(((1, 1e-8), (3, 3e-8), (10**400, 2e-8)), 0.0, f"{10**400} and 1", id="huge-id-gap"),
+    ],
+)
+def test_overflowing_range_differences_are_rejected_at_the_epoch(
+    samples, schedule_period_s, pair, stations, capfd, monkeypatch
+):
+    def entered(*args, **kwargs):
+        pytest.fail("the solver was entered")
+
+    monkeypatch.setattr(irlspos.irls, "solve_all_references", entered)
+    with pytest.raises(ConfigError, match=f"stations {pair}: range difference .* is not finite"):
+        irls_position(
+            MeasurementSet(0, samples, schedule_period_s), stations, SolverSettings(), IrlsSettings()
+        )
+    assert capfd.readouterr().err == ""
+
+
+def test_huge_toas_whose_stagger_cancels_are_accepted():
+    # every range difference here is 0: the check is on each pair, not a bound
+    m = MeasurementSet(0, ((1, 0.0), (2, 1e300), (3, 2e300)), 1e300)
+    assert m.samples == ((1, 0.0), (2, 1e300), (3, 2e300))
 
 
 # --- noise model --------------------------------------------------------------

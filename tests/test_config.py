@@ -1,13 +1,18 @@
 """Scenario schema, presets, and YAML loading."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import yaml
 import pytest
 
+import irlspos
 from irlspos import (
     BandProfile,
     BiasModel,
@@ -463,3 +468,21 @@ def test_all_presets_valid():
         cfg = get_preset(name)
         assert cfg.name == name
         assert cfg.transmit_power_dbm == 20.0  # accepted, unused
+
+
+def test_preset_load_leaves_yaml_and_scipy_unloaded():
+    # a preset is built in code; importing yaml costs ~25 ms of set-up
+    src = str(Path(irlspos.__file__).resolve().parents[1])
+    code = (
+        "import sys, irlspos; irlspos.load_config('static_cband'); "
+        "print(sorted({'yaml', 'scipy'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"

@@ -5,13 +5,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from irlspos import (
+    ConfigError,
     euclidean_distance,
     irls_position,
     run_batch,
     summarize,
 )
+from irlspos import harness
 from irlspos.config import BiasModel
 from irlspos.geometry import check_station_layout
 from irlspos.harness import (
@@ -19,6 +23,7 @@ from irlspos.harness import (
     METHOD_LS,
     TrialBatch,
     TrialRecord,
+    block_trial_rngs,
     emulate_trial_measurements,
     export_results,
     trial_rngs,
@@ -88,6 +93,90 @@ def test_trial_rngs_are_the_spawned_children(root_seed, key):
         spawned = np.random.default_rng(child)
         assert rng.random(8).tolist() == spawned.random(8).tolist()
         assert rng.normal(0.0, 1.0, 4).tolist() == spawned.normal(0.0, 1.0, 4).tolist()
+
+
+KEY_WORD = st.one_of(st.integers(0, 60), st.integers(0, 2**32 - 1))
+KEY_BLOCKS = st.lists(st.tuples(KEY_WORD, KEY_WORD), min_size=1, max_size=6)
+
+
+# 2**32 - 1 to 2**128 + 1 cross the boundaries of the root's words and of
+# the 4-word pool, past which root words are mixed in after the pool
+@given(root_seed=st.integers(0, 2**256 - 1), keys=KEY_BLOCKS)
+@example(root_seed=2**32 - 1, keys=[(0, 0), (2**32 - 1, 2**32 - 1)])
+@example(root_seed=2**32, keys=[(22, 49), (0, 2**32 - 1)])
+@example(root_seed=2**96, keys=[(3, 7)])
+@example(root_seed=2**128, keys=[(2**32 - 1, 0)])
+@example(root_seed=2**128 + 1, keys=[(1, 1), (1, 2)])
+def test_block_seeding_matches_seed_sequence(root_seed, keys):
+    for (poi, trial), rngs in zip(keys, block_trial_rngs(root_seed, keys), strict=True):
+        for i, rng in enumerate(rngs):
+            oracle = np.random.default_rng(
+                np.random.SeedSequence(root_seed, spawn_key=(poi, trial, i))
+            )
+            assert rng.bit_generator.state == oracle.bit_generator.state
+            assert rng.random() == oracle.random()
+            assert rng.normal() == oracle.normal()
+            assert rng.exponential() == oracle.exponential()
+
+
+def test_block_generators_are_fresh_per_trial():
+    keys = [(0, 0), (0, 0), (0, 1)]
+    rngs = [rng for pair in block_trial_rngs(5, keys) for rng in pair]
+    assert len({id(rng) for rng in rngs}) == len({id(rng.bit_generator) for rng in rngs}) == 6
+    first, repeat = rngs[0], rngs[2]
+    assert first.random() == repeat.random()
+
+
+@pytest.mark.parametrize("block_trials", [1, 3, harness.SEED_BLOCK_TRIALS])
+def test_run_batch_emulates_the_trial_rngs_epochs(block_trials, monkeypatch):
+    # blocks of 3 cross PoI boundaries; the default size takes two blocks
+    cfg = small_config(
+        nlos_probability=0.5,
+        bias_model=BiasModel(kind="exponential", value_m=3.0),
+        pois=get_preset("static_cband").pois[:2],
+        trials_per_poi=max(4, block_trials // 2 + 1),
+    )
+    emulate = harness.emulate_trial_measurements
+    seen = []
+
+    def recording(cfg, poi_index, trial_index, rngs=None):
+        assert rngs is not None
+        out = emulate(cfg, poi_index, trial_index, rngs=rngs)
+        seen.append(((poi_index, trial_index), out))
+        return out
+
+    monkeypatch.setattr(harness, "SEED_BLOCK_TRIALS", block_trials)
+    monkeypatch.setattr(harness, "emulate_trial_measurements", recording)
+    run_batch(cfg)
+    keys = [(p, t) for p in range(len(cfg.pois)) for t in range(cfg.trials_per_poi)]
+    assert [key for key, _ in seen] == keys
+    assert any(ln.nlos_bias_m > 0 for _, (_, links) in seen for ln in links)
+    for key, (mset, links) in seen:
+        assert (mset, links) == emulate(cfg, *key)
+
+
+def test_emulation_draws_from_the_generators_it_is_given():
+    cfg = small_config(nlos_probability=0.5)
+    given, given_links = emulate_trial_measurements(cfg, 0, 0, rngs=trial_rngs(cfg.root_seed, 0, 1))
+    other, other_links = emulate_trial_measurements(cfg, 0, 1)
+    assert (given.samples, given_links) == (other.samples, other_links)
+    assert given.samples != emulate_trial_measurements(cfg, 0, 0)[0].samples
+
+
+@pytest.mark.parametrize("trials", [2**32, 2**40])
+def test_trial_counts_past_one_seed_word_are_rejected(trials):
+    with pytest.raises(ConfigError, match="trials_per_poi"):
+        small_config(trials_per_poi=trials)
+    assert small_config(trials_per_poi=2**32 - 1).trials_per_poi == 2**32 - 1
+
+
+def test_poi_counts_past_one_seed_word_are_rejected():
+    class TooMany(tuple):
+        def __len__(self):
+            return 2**32
+
+    with pytest.raises(ConfigError, match="pois"):
+        small_config(pois=TooMany(small_config().pois))
 
 
 def test_link_draws_are_band_independent():
