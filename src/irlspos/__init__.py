@@ -7,7 +7,15 @@ and the types they take and return, plus the emulator and its helpers. The
 layer that ``irls_position`` runs below its epoch checks trusts them:
 ``compute_tdoas`` forms every reference's ``RangeDifferenceSet`` in one
 pass, and ``solve_single_reference`` and ``solve_all_references`` solve
-them. It is imported from its modules."""
+them. It is imported from its modules.
+
+``import irlspos``, loading a scenario and an ``irls_position`` fix run on
+plain floats and do not import numpy. The emulator's draws, the waveform
+functions and the solver's lstsq fallback import it when called. The
+harness names (``run_batch``, ``export_results``, ``summarize``,
+``TrialBatch``, ``TrialRecord`` and ``MethodSummary``) are resolved from
+:mod:`irlspos.harness` on first access, since that module imports numpy
+when it loads."""
 
 from .channel import (
     BandProfile,
@@ -32,14 +40,6 @@ from .geometry import (
     euclidean_distance,
     true_first_toa,
 )
-from .harness import (
-    MethodSummary,
-    TrialBatch,
-    TrialRecord,
-    export_results,
-    run_batch,
-    summarize,
-)
 from .irls import (
     IrlsSettings,
     PositionEstimate,
@@ -51,6 +51,12 @@ from .lsq import CandidateEstimate, SolverSettings
 from .presets import PRESET_NAMES, get_preset
 
 __version__ = "0.1.0"
+
+# resolved on first use by __getattr__: the harness is the one module that
+# needs numpy at import
+_HARNESS_NAMES = frozenset(
+    {"MethodSummary", "TrialBatch", "TrialRecord", "export_results", "run_batch", "summarize"}
+)
 
 __all__ = [
     "SPEED_OF_LIGHT_M_S",
@@ -91,3 +97,11 @@ __all__ = [
     "waveform_noise_std",
     "weighted_average",
 ]
+
+
+def __getattr__(name: str):
+    if name in _HARNESS_NAMES:
+        from . import harness
+
+        return getattr(harness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -24,9 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import ConfigError
 from .geometry import (
@@ -40,6 +38,9 @@ from .geometry import (
     sorted_stations,
     true_first_toa,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # pulse tails retained on each side of a multipath arrival, in symbol periods
 PULSE_SUPPORT_SYMBOLS = 8.0
@@ -204,6 +205,8 @@ def raised_cosine_pulse(t, band: BandProfile):
     removable singularity at t = +/- T/(2 beta) filled by its closed-form
     limit (pi/(4T)) sinc(1/(2 beta)) rather than by epsilon-nudging.
     """
+    import numpy as np
+
     T = band.symbol_period_s
     beta = band.rolloff
     x = np.asarray(t, dtype=float) / T
@@ -247,6 +250,8 @@ def synthesize_received_waveform(
     per-sample standard deviation of the additive receiver noise, in the
     same (dimensionless) amplitude units as the pulse.
     """
+    import numpy as np
+
     if not mpcs:
         raise ValueError("invalid link: no multipath components")
     if sample_rate_hz < MIN_SAMPLE_RATE_FACTOR * band.bandwidth_hz:
@@ -279,6 +284,8 @@ def synthesize_received_waveform(
 
 def _pulse_template(band: BandProfile, sample_rate_hz: float) -> np.ndarray:
     """Odd-length pulse template centered at t = 0, for matched filtering."""
+    import numpy as np
+
     half = int(round(PULSE_SUPPORT_SYMBOLS * band.symbol_period_s * sample_rate_hz))
     offsets = np.arange(-half, half + 1) / sample_rate_hz
     return raised_cosine_pulse(offsets, band)
@@ -290,8 +297,10 @@ def estimate_toa_from_waveform(waveform: SampledWaveform, band: BandProfile) -> 
     Exact ties break to the earliest grid time, matching first-arrival
     semantics.
     """
-    # deferred: importing scipy.signal costs more than a second and ~75 MB,
-    # and only the waveform emulator needs it
+    import numpy as np
+
+    # importing scipy.signal costs more than a second and ~75 MB, and only
+    # the waveform emulator needs it
     from scipy import signal
 
     x = waveform.samples
@@ -316,6 +325,8 @@ def waveform_noise_std(
     pulse energy E and mean-square (Gabor) bandwidth beta_g^2 computed
     numerically from the sampled template.
     """
+    import numpy as np
+
     template = _pulse_template(band, sample_rate_hz)
     dt = 1.0 / sample_rate_hz
     energy = float(np.sum(template**2) * dt) * amplitude**2
@@ -371,6 +382,8 @@ def emulate_measurement_set(
     the same stream as N scalar draws, is assigned in ascending id order so
     equal seeds give identical draws.
     """
+    import numpy as np
+
     sts = sorted_stations(stations)
     link_by_id = {ln.station_id: ln for ln in links}
     if len(link_by_id) != len(links) or set(link_by_id) != {s.id for s in sts}:

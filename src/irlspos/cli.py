@@ -14,12 +14,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-import yaml
-
 from . import presets
 from .config import UNUSED_FIDELITY_FIELDS, config_to_mapping, load_config
 from .errors import ConfigError, GeometryError
-from .harness import METHODS, export_results, run_batch, summarize
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -54,6 +51,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    # the harness imports numpy; validate and presets do without it
+    from .harness import METHODS, export_results, run_batch, summarize
+
     cfg = load_config(args.config).with_overrides(
         root_seed=args.seed, trials_per_poi=args.trials
     )
@@ -81,6 +81,8 @@ def _cmd_presets(args: argparse.Namespace) -> int:
         for name in presets.PRESET_NAMES:
             print(name)
         return EXIT_OK
+    import yaml
+
     cfg = presets.get_preset(args.name)
     print(yaml.safe_dump(config_to_mapping(cfg), sort_keys=False), end="")
     return EXIT_OK

@@ -45,6 +45,7 @@ numeric string as a number.
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
@@ -52,6 +53,7 @@ from typing import Any
 from .channel import BandProfile
 from .errors import ConfigError, GeometryError
 from .geometry import (
+    SPEED_OF_LIGHT_M_S,
     BaseStation,
     Position2D,
     as_flag,
@@ -168,6 +170,22 @@ class ScenarioConfig:
             )
         if self.schedule_period_s < 0:
             raise ConfigError(f"schedule_period_s must be >= 0, got {self.schedule_period_s!r}")
+        # the emulator adds a transmit stagger of up to this to a ToA, so a
+        # ToA is only known to one ulp of it; above the step tolerance, the
+        # rounding swamps the flight time and the fixes are silently wrong
+        ids = tuple(layout.positions)
+        try:
+            stagger_s = (ids[-1] - ids[0]) * self.schedule_period_s
+        except OverflowError:
+            stagger_s = math.inf
+        rounding_m = SPEED_OF_LIGHT_M_S * math.ulp(stagger_s)
+        if rounding_m > self.solver.step_tolerance_m:
+            raise ConfigError(
+                f"schedule_period_s={self.schedule_period_s!r}: station ids "
+                f"{ids[0]} to {ids[-1]} stagger the ToAs by up to {stagger_s!r} s, "
+                f"which rounds them to {rounding_m!r} m, more than "
+                f"solver.step_tolerance_m={self.solver.step_tolerance_m!r}"
+            )
         if not 1 <= self.trials_per_poi < SEED_KEY_LIMIT:
             raise ConfigError(
                 f"trials_per_poi must be in [1, 2**32), got {self.trials_per_poi!r}"

@@ -19,9 +19,13 @@ the objective can lose its finite minimizer along a hyperbola asymptote:
 * iterates are clamped to the bounding box expanded by a configurable
   margin (the solve region; UEs are assumed to live among the anchors);
 * an iterate within ``NUDGE_RADIUS_M`` of a station (undefined Jacobian)
-  is nudged by one step tolerance along +x. The step itself reports it: it
-  computes the distance to every station anyway and returns None. The loop
-  then nudges and retries once, and a second None ends the solve.
+  is nudged by one step tolerance along the unit vector ``NUDGE_DIRECTION``,
+  which is off both axes: on a mirror line of a layout the iterates cannot
+  leave the line, so a nudge along an axis-parallel mirror line could lead
+  the solve to a stationary point on it instead of the fix. The step itself
+  reports a station: it computes the distance to every station anyway and
+  returns None. The loop then nudges and retries once, and a second None
+  ends the solve.
 
 Once the clip has acted, a solve can end pinned to the box edge, where the
 raw step never falls under the tolerance and the loop would run to its
@@ -53,8 +57,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .channel import MeasurementSet
 from .errors import ConfigError
 from .geometry import (
@@ -74,6 +76,9 @@ ILL_CONDITIONED = 1e-6
 
 # an iterate closer than this to a station is nudged off it, in meters
 NUDGE_RADIUS_M = 1e-12
+
+# the unit vector it is nudged along, in step tolerances
+NUDGE_DIRECTION = (0.8, 0.6)
 
 
 @dataclass(frozen=True)
@@ -166,6 +171,8 @@ def _lstsq_step(x: float, y: float, rd: RangeDifferenceSet) -> tuple[float, floa
     """The minimum-norm lstsq step at p = (x, y), off every station, on the
     residuals and Jacobian of :func:`_gauss_newton_step`, rebuilt from the
     same expressions. None if lstsq fails to converge."""
+    import numpy as np
+
     rx, ry = rd.reference
     ex, ey = x - rx, y - ry
     dist_e = math.hypot(ex, ey)
@@ -220,7 +227,9 @@ def solve_single_reference(
         step = _gauss_newton_step(x, y, rd)
         if step is None:
             # on a station, where the Jacobian is undefined: nudge off it once
-            x += tolerance
+            along_x, along_y = NUDGE_DIRECTION
+            x += along_x * tolerance
+            y += along_y * tolerance
             step = _gauss_newton_step(x, y, rd)
             if step is None:
                 break

@@ -1,9 +1,13 @@
 """Bundled benchmark scenarios.
 
 Geometry: four corner-mounted stations around a 29 m x 25 m area of
-interest with 23 evaluation points on a jittered 5 x 5 grid (fixed seed
-20230423, so the layout is reproducible and documented rather than claimed
-as surveyed coordinates).
+interest with 23 evaluation points on a jittered 5 x 5 grid. They are
+drawn, not surveyed: the grid's nodes are 3 to 26 m in x and 3 to 22 m in
+y, row by row in y, and the first 23 nodes each move by a uniform offset in
+[-1, 1) m per axis, drawn as ``default_rng(20230423).uniform(-1.0, 1.0,
+size=(23, 2))`` with numpy. ``POIS`` holds the results as literals, so a
+preset is built without numpy; a test repeats the draw and checks that they
+are equal.
 
 Bands: C-band (3.775 GHz carrier, 100 MHz bandwidth, 30 kHz subcarrier
 spacing) and mmWave (26.85 GHz, 400 MHz, 120 kHz), both at 20 dB SNR.
@@ -17,8 +21,6 @@ are identical across bands for like-for-like comparisons.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .channel import BandProfile
 from .config import BiasModel, ScenarioConfig
 from .errors import ConfigError
@@ -26,8 +28,33 @@ from .geometry import BaseStation, Position2D
 
 AOI_WIDTH_M = 29.0
 AOI_HEIGHT_M = 25.0
-POI_COUNT = 23
-POI_GRID_SEED = 20230423
+
+# the jittered grid; the module docstring says how it was drawn
+POIS = (
+    Position2D(3.360913661205064, 3.620417231819695),
+    Position2D(9.010648641571853, 3.332616012789134),
+    Position2D(14.941523033673509, 3.522253178089028),
+    Position2D(19.980844153691496, 2.230868398783513),
+    Position2D(26.411779863422932, 2.777184083255739),
+    Position2D(3.0852168669076363, 7.6866396456635515),
+    Position2D(8.686924998382313, 8.602236839828869),
+    Position2D(15.136001690880411, 8.18356334963036),
+    Position2D(20.567857329044845, 6.806876702777391),
+    Position2D(25.1099947434004, 7.645221016565609),
+    Position2D(3.0404209881381563, 12.295759131944912),
+    Position2D(9.192189649037664, 12.267391890178807),
+    Position2D(13.528843787467089, 13.485273622168613),
+    Position2D(19.810092490678603, 12.180051705185642),
+    Position2D(25.75272877525278, 13.217440119339482),
+    Position2D(2.2176414952130736, 17.352444673181036),
+    Position2D(8.69489697972435, 17.940170917881087),
+    Position2D(14.566266181989054, 17.618274220857828),
+    Position2D(19.27235804122731, 17.773209363835846),
+    Position2D(26.12641933266014, 16.842965925123337),
+    Position2D(3.8941684383177275, 21.361715533887374),
+    Position2D(8.292152399512497, 22.892970327676466),
+    Position2D(14.570341917397073, 22.798392779901807),
+)
 
 PRESET_NAMES = (
     "static_cband",
@@ -43,21 +70,6 @@ def corner_stations() -> tuple[BaseStation, ...]:
         BaseStation(2, Position2D(AOI_WIDTH_M, 0.0)),
         BaseStation(3, Position2D(AOI_WIDTH_M, AOI_HEIGHT_M)),
         BaseStation(4, Position2D(0.0, AOI_HEIGHT_M)),
-    )
-
-
-def default_poi_grid(
-    count: int = POI_COUNT, seed: int = POI_GRID_SEED
-) -> tuple[Position2D, ...]:
-    """Jittered grid of evaluation points, at least ~2 m off the walls."""
-    rng = np.random.default_rng(seed)
-    xs = np.linspace(3.0, AOI_WIDTH_M - 3.0, 5)
-    ys = np.linspace(3.0, AOI_HEIGHT_M - 3.0, 5)
-    cells = [(x, y) for y in ys for x in xs][:count]
-    jitter = rng.uniform(-1.0, 1.0, size=(len(cells), 2))
-    return tuple(
-        Position2D(float(x + dx), float(y + dy))
-        for (x, y), (dx, dy) in zip(cells, jitter)
     )
 
 
@@ -86,7 +98,7 @@ def get_preset(name: str) -> ScenarioConfig:
     semidynamic = name.startswith("semidynamic")
     return ScenarioConfig(
         stations=corner_stations(),
-        pois=default_poi_grid(),
+        pois=POIS,
         band=band,
         bias_model=BiasModel(kind="exponential", value_m=3.0),
         nlos_probability=0.3 if semidynamic else 0.0,

@@ -3,11 +3,16 @@ plus helpers that only the tests need."""
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, settings
 from hypothesis import strategies as st
 
+import irlspos
 from irlspos import (
     BaseStation,
     GeometryError,
@@ -133,3 +138,26 @@ def fingerprint(m):
         f"{sid}:{toa.hex()}" for sid, toa in m.samples
     ) + f"|{m.epoch_id}|{m.schedule_period_s.hex()}"
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def fresh_interpreter(code):
+    """The last stdout line of ``code`` run in a new interpreter that imports
+    irlspos from the tree under test."""
+    src = str(Path(irlspos.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    return done.stdout.strip().splitlines()[-1]
+
+
+def loaded_after(code, names=("numpy", "yaml", "scipy")):
+    """Which of ``names`` are in ``sys.modules`` after ``code`` runs in a new
+    interpreter, as the printed sorted list."""
+    return fresh_interpreter(
+        f"{code}\nimport sys\nprint(sorted(set({list(names)!r}) & set(sys.modules)))"
+    )

@@ -5,6 +5,7 @@ import yaml
 from irlspos.cli import EXIT_CONFIG, EXIT_OK, main
 from irlspos.config import config_to_mapping, load_config
 from irlspos.presets import PRESET_NAMES, get_preset
+from conftest import loaded_after
 
 
 def write_small_scenario(tmp_path, **overrides):
@@ -75,6 +76,20 @@ def test_unknown_key_exits_with_config_error(tmp_path, capsys):
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert capsys.readouterr().err.count(f"unknown key '{key}'") == 2
         assert not (tmp_path / "out").exists()
+
+
+def test_stagger_that_swamps_the_flight_time_exits_with_config_error(tmp_path, capsys):
+    path = write_small_scenario(tmp_path, schedule_period_s=1e3)
+    assert main(["validate", str(path)]) == EXIT_CONFIG
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.count("solver.step_tolerance_m") == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_and_presets_list_load_neither_numpy_nor_yaml():
+    for argv in (["validate", "static_cband"], ["presets", "list"]):
+        code = f"from irlspos.cli import main; assert main({argv!r}) == 0"
+        assert loaded_after(code, ("numpy", "yaml")) == "[]", argv
 
 
 def test_validate_missing_file(tmp_path, capsys):

@@ -1,14 +1,11 @@
 """Scenario schema, presets, and YAML loading."""
 
 import math
-import os
 import re
-import subprocess
-import sys
 import textwrap
 from dataclasses import replace
-from pathlib import Path
 
+import numpy as np
 import yaml
 import pytest
 
@@ -21,10 +18,13 @@ from irlspos import (
     Position2D,
     SolverSettings,
     config,
+    harness,
     load_config,
+    presets,
 )
 from irlspos.config import config_from_mapping, config_to_mapping
 from irlspos.presets import PRESET_NAMES, get_preset
+from conftest import fresh_interpreter, loaded_after
 
 
 def test_static_cband_preset():
@@ -454,6 +454,39 @@ def test_overrides():
     assert cfg.trials_per_poi == 3
 
 
+# station ids 1 to 4 stagger the ToAs by up to 3 periods; one ulp of that is
+# 2**-49 s below 16 s and 2**-48 s from there, about 0.53e-6 and 1.07e-6 m
+# against the 1e-6 m step tolerance. A 1e3 s period rounds ToAs to 1.4e-4 m
+@pytest.mark.parametrize(
+    "period,accepted",
+    [(0.010, True), (5.3, True), (5.4, False), (1e3, False), (1e300, False)],
+)
+def test_stagger_that_swamps_the_flight_time_is_rejected(period, accepted):
+    cfg = get_preset("static_cband")
+    if accepted:
+        assert replace(cfg, schedule_period_s=period).schedule_period_s == period
+    else:
+        with pytest.raises(ConfigError, match="schedule_period_s.*step_tolerance_m"):
+            replace(cfg, schedule_period_s=period)
+
+
+def test_stagger_bound_follows_the_ids_and_the_tolerance():
+    cfg = get_preset("static_cband")
+    # ids 4 to 16 span 12 periods, so the boundary moves to 16 / 12 s
+    wide = tuple(replace(s, id=s.id * 4) for s in cfg.stations)
+    assert replace(cfg, stations=wide, schedule_period_s=5.3 / 4).stations == wide
+    for period in (5.4 / 4, 5.3):
+        with pytest.raises(ConfigError, match="ids 4 to 16"):
+            replace(cfg, stations=wide, schedule_period_s=period)
+    # the presets' 0.010 s rounds ToAs to about 1e-9 m
+    with pytest.raises(ConfigError, match="schedule_period_s"):
+        replace(cfg, solver=replace(cfg.solver, step_tolerance_m=1e-10))
+    # an id span too large for a float cannot be staggered at all
+    huge = (*cfg.stations[:3], replace(cfg.stations[3], id=10**400))
+    with pytest.raises(ConfigError, match="schedule_period_s"):
+        replace(cfg, stations=huge)
+
+
 def test_projected_3d_height():
     cfg = get_preset("static_cband")
     assert cfg.height_difference_m == 0.0
@@ -471,18 +504,41 @@ def test_all_presets_valid():
 
 
 def test_preset_load_leaves_yaml_and_scipy_unloaded():
-    # a preset is built in code; importing yaml costs ~25 ms of set-up
-    src = str(Path(irlspos.__file__).resolve().parents[1])
+    # a preset is built in code, without numpy, yaml or scipy; importing
+    # numpy would be most of the set-up time
+    assert loaded_after("import irlspos; irlspos.load_config('static_cband')") == "[]"
+
+
+def test_config_import_after_the_package_loads_nothing():
+    # importing the package already loads the config module, so nothing
+    # moves into the gap between timing the import and timing a load
     code = (
-        "import sys, irlspos; irlspos.load_config('static_cband'); "
-        "print(sorted({'yaml', 'scipy'} & set(sys.modules)))"
+        "import sys, irlspos; before = set(sys.modules); "
+        "from irlspos.config import load_config; "
+        "print(sorted(set(sys.modules) - before))"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-        text=True,
-        timeout=60,
-        check=True,
+    assert fresh_interpreter(code) == "[]"
+
+
+def test_every_exported_name_resolves():
+    # the harness names resolve on first access, and only then load numpy
+    for name in irlspos.__all__:
+        assert getattr(irlspos, name) is not None
+    assert irlspos.run_batch is harness.run_batch
+    with pytest.raises(AttributeError, match="no_such_name"):
+        irlspos.no_such_name
+
+
+def test_preset_pois_equal_the_seeded_draw():
+    # the draw the literals were made from: the first 23 nodes of a 5 x 5
+    # grid 3 m inside the walls, each jittered by a uniform [-1, 1) m per axis
+    rng = np.random.default_rng(20230423)
+    xs = np.linspace(3.0, presets.AOI_WIDTH_M - 3.0, 5)
+    ys = np.linspace(3.0, presets.AOI_HEIGHT_M - 3.0, 5)
+    cells = [(x, y) for y in ys for x in xs][:23]
+    jitter = rng.uniform(-1.0, 1.0, size=(len(cells), 2))
+    drawn = tuple(
+        Position2D(float(x + dx), float(y + dy)) for (x, y), (dx, dy) in zip(cells, jitter)
     )
-    assert done.stdout.strip() == "[]"
+    assert presets.POIS == drawn
+    assert all(get_preset(name).pois == drawn for name in PRESET_NAMES)

@@ -8,6 +8,7 @@ under the threshold).
 
 import math
 import re
+import textwrap
 from dataclasses import replace
 
 import numpy as np
@@ -34,7 +35,7 @@ from irlspos.geometry import check_station_layout
 from irlspos.lsq import CandidateEstimate, solve_all_references
 from irlspos.presets import cband_profile, corner_stations
 from irlspos.tdoa import RangeDifferenceSet, compute_tdoas
-from conftest import AOI_H, AOI_W, deltas_by_id, exact_measurements, fixes
+from conftest import AOI_H, AOI_W, deltas_by_id, exact_measurements, fixes, loaded_after
 
 
 def scripted_oracle(m, stations, ls_settings=None, irls_settings=None):
@@ -253,6 +254,27 @@ def test_zero_noise_converges_immediately(stations, band):
     assert est.converged and est.iterations <= 2
     for w in est.weights.values():
         assert w == pytest.approx(0.25, abs=1e-12)
+
+
+def test_fix_runs_without_numpy():
+    # a hand-built epoch with staggered ToAs; the fix's closed-form steps
+    # need no lstsq fallback, so nothing on its path imports numpy
+    code = textwrap.dedent(
+        """
+        from irlspos import SPEED_OF_LIGHT_M_S, MeasurementSet, Position2D
+        from irlspos import euclidean_distance, irls_position
+        from irlspos.presets import corner_stations
+
+        ue, stations = Position2D(11.0, 7.0), corner_stations()
+        samples = tuple(
+            (s.id, (s.id - 1) * 0.010 + euclidean_distance(ue, s.position) / SPEED_OF_LIGHT_M_S)
+            for s in stations
+        )
+        fix = irls_position(MeasurementSet(0, samples, 0.010), stations)
+        assert euclidean_distance(fix.position, ue) < 1e-6 and fix.converged, fix
+        """
+    )
+    assert loaded_after(code, ("numpy",)) == "[]"
 
 
 def test_huge_epsilon_stops_after_one_iteration(stations, band):

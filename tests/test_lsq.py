@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from irlspos import (
@@ -153,7 +153,7 @@ def lstsq_oracle(rd, stations, settings=None, step_fn=lstsq_step):
     iterations = 0
     for iterations in range(1, settings.max_iterations + 1):
         if np.any(np.hypot(*(p - station_coords).T) < 1e-12):
-            p = p + np.array([settings.step_tolerance_m, 0.0])
+            p = p + np.array(lsq.NUDGE_DIRECTION) * settings.step_tolerance_m
         step = step_fn(p, rd, sts)
         if step is None:
             break
@@ -294,16 +294,50 @@ def test_start_on_a_station_is_nudged(band):
                 assert (c.position, c.converged, c.iterations_used) == exact
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="on the layout's mirror line y = 12.5 the iterates cannot leave the "
-    "line, and the nudge along +x leads the centre reference to a stationary "
-    "point right of it",
-)
 def test_mirror_line_fix_left_of_the_start_is_recovered(band):
+    # on the layout's mirror line y = 12.5 the iterates cannot leave the
+    # line; a nudge along +x leads the centre reference to a stationary
+    # point right of the start
     ue = Position2D(9.5, 12.5)
     m = exact_measurements(ue, CENTRE_STATIONS, band)
     for c in solve_all_references(m, CENTRE_STATIONS):
+        assert euclidean_distance(c.position, ue) < 1e-9
+
+
+@st.composite
+def centred_halls(draw):
+    """Four corner stations of an axis-aligned hall with sides 6-60 m and
+    aspect ratio 2/3 to 3/2, a fifth station on their centroid, where the
+    hall's two mirror lines cross and every solve starts, and a UE on one
+    of the mirror lines, at least 0.5 m from the centre. Integer corners
+    keep the centroid and the mirror symmetry exact in floats."""
+    half_w = draw(st.integers(3, 30))
+    half_h = draw(st.integers(math.ceil(half_w * 2 / 3), math.floor(half_w * 3 / 2)))
+    x0, y0 = draw(st.integers(-50, 50)), draw(st.integers(-50, 50))
+    cx, cy = x0 + half_w, y0 + half_h
+    corners = [(x0, y0), (cx + half_w, y0), (cx + half_w, cy + half_h), (x0, cy + half_h)]
+    stations = [
+        BaseStation(i + 1, Position2D(float(x), float(y)))
+        for i, (x, y) in enumerate([*corners, (cx, cy)])
+    ]
+    t = draw(st.floats(0.02, 0.98))
+    if draw(st.booleans()):
+        ue = Position2D(x0 + t * 2 * half_w, float(cy))
+    else:
+        ue = Position2D(float(cx), y0 + t * 2 * half_h)
+    assume(euclidean_distance(ue, stations[-1].position) >= 0.5)
+    return stations, ue
+
+
+@given(centred_halls())
+def test_mirror_line_fixes_of_centred_halls_are_recovered(case):
+    # a nudge along either axis keeps the iterates on one of the two mirror
+    # lines; the off-axis nudge leaves both
+    stations, ue = case
+    layout = check_station_layout(stations)
+    assert layout.centroid == (stations[-1].position.x, stations[-1].position.y)
+    m = exact_measurements(ue, stations, cband_profile())
+    for c in solve_all_references(m, layout):
         assert euclidean_distance(c.position, ue) < 1e-9
 
 
