@@ -173,7 +173,7 @@ class ScenarioConfig:
         # the emulator adds a transmit stagger of up to this to a ToA, so a
         # ToA is only known to one ulp of it; above the step tolerance, the
         # rounding swamps the flight time and the fixes are silently wrong
-        ids = tuple(layout.positions)
+        ids = layout.ids
         try:
             stagger_s = (ids[-1] - ids[0]) * self.schedule_period_s
         except OverflowError:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import ConfigError, GeometryError
@@ -17,6 +18,9 @@ SPEED_OF_LIGHT_M_S = 299_792_458.0
 
 # minimum stations for a 2D range-difference fix
 MIN_STATIONS = 3
+
+# distinct station tuples whose checked layout is kept for reuse
+CHECKED_LAYOUTS = 8
 
 
 @dataclass(frozen=True)
@@ -119,12 +123,17 @@ def sorted_stations(stations: Iterable[BaseStation]) -> list[BaseStation]:
 @dataclass(frozen=True)
 class StationLayout:
     """A checked layout: ``stations`` by ascending id, ``positions`` by id in
-    that order, ``box`` = (min_x, min_y, max_x, max_y), the station
-    ``centroid`` (x, y) and the box ``diagonal``. Only
-    :func:`check_station_layout` builds one, so holding one means the check ran."""
+    that order (read-only), their ``ids`` and ``(x, y)`` ``coords`` as
+    tuples in the same order, ``box`` = (min_x, min_y, max_x, max_y), the
+    station ``centroid`` (x, y) and the box ``diagonal``. Only
+    :func:`check_station_layout` builds one, so holding one means the check
+    ran. A layout is shared by every caller that checks an equal station
+    tuple, so nothing in it can be changed."""
 
     stations: tuple[BaseStation, ...]
     positions: Mapping[int, Position2D]
+    ids: tuple[int, ...]
+    coords: tuple[tuple[float, float], ...]
     box: tuple[float, float, float, float]
     centroid: tuple[float, float]
     diagonal: float
@@ -143,9 +152,31 @@ def check_station_layout(
     Raises GeometryError when there are fewer than ``MIN_STATIONS``
     stations, when ids repeat, or when all stations are collinear (a
     collinear layout leaves the fix ambiguous across the line of anchors).
+
+    Stations and their positions are frozen, so the layout of a station
+    tuple is kept, and an equal tuple, in the same order, gets the same
+    layout without a second check. The last ``CHECKED_LAYOUTS`` distinct
+    tuples are kept; a failing check keeps nothing.
     """
     if isinstance(stations, StationLayout):
         return stations
+    key = tuple(stations)
+    # the same station objects compare equal by identity, without a hash
+    for checked, layout in _checked_layouts:
+        if checked == key:
+            return layout
+    layout = _check(key)
+    _checked_layouts.insert(0, (key, layout))
+    del _checked_layouts[CHECKED_LAYOUTS:]
+    return layout
+
+
+# (station tuple, its layout), the latest first; threads that race on it at
+# worst check an equal tuple twice
+_checked_layouts: list[tuple[tuple[BaseStation, ...], StationLayout]] = []
+
+
+def _check(stations: tuple[BaseStation, ...]) -> StationLayout:
     sts = tuple(sorted_stations(stations))
     if len(sts) < MIN_STATIONS:
         raise GeometryError(
@@ -161,7 +192,9 @@ def check_station_layout(
     min_x, min_y, max_x, max_y = min(xs), min(ys), max(xs), max(ys)
     return StationLayout(
         sts,
-        positions,
+        MappingProxyType(positions),
+        tuple(positions),
+        tuple(zip(xs, ys)),
         (min_x, min_y, max_x, max_y),
         (sum(xs) / len(xs), sum(ys) / len(ys)),
         math.hypot(max_x - min_x, max_y - min_y),

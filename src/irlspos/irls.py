@@ -13,9 +13,11 @@ Each epoch's range differences are formed once, in one pass: every
 candidate carries the :class:`~irlspos.tdoa.RangeDifferenceSet` it was
 solved from (its reference's coordinates, and each other station's
 coordinates with its measured difference, as plain floats), and the loop
-reads those sets. A plain station list is checked once, by
-:func:`~irlspos.lsq.solve_all_references`, which also matches the epoch's
-stations against it and hands the checked layout to every candidate solve.
+reads those sets. A plain station list is checked by
+:func:`~irlspos.lsq.solve_all_references`, once per distinct station tuple;
+it also matches the epoch against the layout and hands the layout to every
+candidate solve. The fused estimate is read as plain floats between
+iterations.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .geometry import (
     StationLayout,
     as_integer,
     as_number,
-    euclidean_distance,
     read_fields,
 )
 from .lsq import CandidateEstimate, SolverSettings, solve_all_references
@@ -64,6 +65,10 @@ class IrlsSettings:
             raise ConfigError(f"epsilon_m must be > 0, got {self.epsilon_m!r}")
         if self.max_iterations < 1:
             raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
+
+
+# the settings a fix without its own uses
+DEFAULT_SETTINGS = IrlsSettings()
 
 
 @dataclass(frozen=True)
@@ -124,8 +129,8 @@ def weighted_average(
         raise ValueError(
             f"{len(weights)} weights for {len(candidates)} candidates"
         )
-    x = math.fsum(w * c.position.x for w, c in zip(weights, candidates))
-    y = math.fsum(w * c.position.y for w, c in zip(weights, candidates))
+    x = math.fsum([w * c.position.x for w, c in zip(weights, candidates)])
+    y = math.fsum([w * c.position.y for w, c in zip(weights, candidates)])
     return Position2D(x, y)
 
 
@@ -147,22 +152,27 @@ def irls_position(
     zero during normalization.
 
     Raises GeometryError for a station list that cannot support a fix
-    (fewer than three stations, repeated ids, all collinear) and ValueError
-    for an epoch whose station ids differ from the layout's.
+    (fewer than three stations, repeated ids, all collinear), ValueError
+    for an epoch whose station ids differ from the layout's, and
+    ConfigError for an epoch whose ToAs are too large to resolve it (see
+    :func:`~irlspos.lsq.solve_all_references`).
     """
-    irls = irls or IrlsSettings()
+    if irls is None:
+        irls = DEFAULT_SETTINGS
     candidates = tuple(solve_all_references(m, stations, ls))
     sets = [c.range_differences for c in candidates]
+    ids = [rd.reference_id for rd in sets]
     hypot, fsum = math.hypot, math.fsum
+    u_max, epsilon = irls.u_max_m, irls.epsilon_m
 
     n = len(candidates)
-    q_wa = weighted_average(candidates, [1.0 / n] * n)
+    weights = [1.0 / n] * n
+    q_wa = weighted_average(candidates, weights)
+    x, y = q_wa.x, q_wa.y
     step = math.inf
     converged = False
     iterations = 0
-    weights = [1.0 / n] * n
     for iterations in range(1, irls.max_iterations + 1):
-        x, y = q_wa.x, q_wa.y
         raw = []
         for rd in sets:
             # the reference's uncertainty: the mean over its rows of
@@ -170,31 +180,21 @@ def irls_position(
             rx, ry = rd.reference
             dist_e = hypot(x - rx, y - ry)
             misfits = [abs(dd - (hypot(x - qx, y - qy) - dist_e)) for qx, qy, dd in rd.rows]
-            raw.append(andrews_weight(fsum(misfits) / len(misfits), irls.u_max_m))
+            raw.append(andrews_weight(fsum(misfits) / len(misfits), u_max))
         total = fsum(raw)
         if total == 0.0:
             return PositionEstimate(
-                position=q_wa,
-                weights={c.reference_id: 0.0 for c in candidates},
-                iterations=iterations,
-                converged=False,
-                final_step_m=step,
-                candidates=candidates,
-                degenerate=True,
+                q_wa, dict.fromkeys(ids, 0.0), iterations, False, step, candidates, True
             )
         weights = [w / total for w in raw]
-        q_next = weighted_average(candidates, weights)
-        step = euclidean_distance(q_next, q_wa)
-        q_wa = q_next
-        if step <= irls.epsilon_m:
+        q_wa = weighted_average(candidates, weights)
+        x_next, y_next = q_wa.x, q_wa.y
+        step = hypot(x_next - x, y_next - y)
+        x, y = x_next, y_next
+        if step <= epsilon:
             converged = True
             break
 
     return PositionEstimate(
-        position=q_wa,
-        weights={c.reference_id: w for c, w in zip(candidates, weights)},
-        iterations=iterations,
-        converged=converged,
-        final_step_m=step,
-        candidates=candidates,
+        q_wa, dict(zip(ids, weights)), iterations, converged, step, candidates
     )

@@ -47,8 +47,11 @@ reference's in one pass over the epoch. Each candidate carries its set, so
 the reweighting stage reads it instead of forming it again. An epoch is
 checked once, at the fix's edge: its
 :class:`~irlspos.channel.MeasurementSet` when it is built, and its station
-ids against the layout in :func:`solve_all_references`. Range differences
-are formed below that edge without further checks.
+ids against the layout and its ToAs against the step tolerance in
+:func:`solve_all_references`. Range differences are formed below that edge
+without further checks. A plain station list is checked there too, once
+per distinct station tuple (:func:`~irlspos.geometry.check_station_layout`),
+so a fix does only per-epoch work.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from typing import Sequence
 from .channel import MeasurementSet
 from .errors import ConfigError
 from .geometry import (
+    SPEED_OF_LIGHT_M_S,
     BaseStation,
     Position2D,
     StationLayout,
@@ -102,6 +106,10 @@ class SolverSettings:
             raise ConfigError(f"bounds_margin_m must be >= 0, got {self.bounds_margin_m!r}")
 
 
+# the settings a solve without its own uses
+DEFAULT_SETTINGS = SolverSettings()
+
+
 @dataclass(frozen=True)
 class CandidateEstimate:
     """Position estimate obtained with one particular reference station,
@@ -141,17 +149,18 @@ def _gauss_newton_step(x: float, y: float, rd: RangeDifferenceSet) -> tuple[floa
     ``NUDGE_RADIUS_M`` of a station (the Jacobian is undefined on one) or
     the lstsq fallback fails to converge.
     """
+    hypot, radius = math.hypot, NUDGE_RADIUS_M
     rx, ry = rd.reference
     ex, ey = x - rx, y - ry
-    dist_e = math.hypot(ex, ey)
-    if dist_e < NUDGE_RADIUS_M:
+    dist_e = hypot(ex, ey)
+    if dist_e < radius:
         return None
     ux, uy = ex / dist_e, ey / dist_e
     a = b = c = gx = gy = 0.0
     for qx, qy, dd in rd.rows:
         nx, ny = x - qx, y - qy
-        dist_n = math.hypot(nx, ny)
-        if dist_n < NUDGE_RADIUS_M:
+        dist_n = hypot(nx, ny)
+        if dist_n < radius:
             return None
         r = dd - (dist_n - dist_e)
         jx = -(nx / dist_n - ux)
@@ -210,10 +219,14 @@ def solve_single_reference(
     over exactly the layout's stations, as :func:`solve_all_references`
     ensures; it is not checked again here.
     """
-    settings = settings or SolverSettings()
+    if settings is None:
+        settings = DEFAULT_SETTINGS
     hypot = math.hypot
     diag = layout.diagonal
-    lo_x, lo_y, hi_x, hi_y = layout.solve_box(settings.bounds_margin_m)
+    # layout.solve_box(margin), formed in place
+    margin = settings.bounds_margin_m
+    min_x, min_y, max_x, max_y = layout.box
+    lo_x, lo_y, hi_x, hi_y = min_x - margin, min_y - margin, max_x + margin, max_y + margin
     tolerance = settings.step_tolerance_m
     x, y = layout.centroid
 
@@ -257,12 +270,7 @@ def solve_single_reference(
             iterations = cap
             break
 
-    return CandidateEstimate(
-        position=Position2D(x, y),
-        converged=converged,
-        iterations_used=iterations,
-        range_differences=rd,
-    )
+    return CandidateEstimate(Position2D(x, y), converged, iterations, rd)
 
 
 def solve_all_references(
@@ -275,13 +283,27 @@ def solve_all_references(
     Candidates that fail to converge are kept (flagged, not dropped); the
     downstream weighting stage decides how much they count. A measurement
     set whose station ids differ from the layout's raises ValueError naming
-    both.
+    both. An epoch whose ToAs are too large to resolve the fix raises
+    ConfigError: a ToA is only known to one ulp, so when c * ulp(max |toa|)
+    exceeds the step tolerance, a transmit stagger (or clock offset) has
+    swamped the flight time, the rule ``ScenarioConfig`` applies to its
+    schedule.
     """
+    if settings is None:
+        settings = DEFAULT_SETTINGS
     layout = check_station_layout(stations)
     # both ascend by id, the alignment compute_tdoas relies on
-    layout_ids = tuple(layout.positions)
-    if m.station_ids != layout_ids:
+    if m.station_ids != layout.ids:
         raise ValueError(
-            f"measurement set stations {m.station_ids} do not match layout {layout_ids}"
+            f"measurement set stations {m.station_ids} do not match layout {layout.ids}"
+        )
+    toa_max = max([abs(toa) for _, toa in m.samples])
+    resolution_m = SPEED_OF_LIGHT_M_S * math.ulp(toa_max)
+    if resolution_m > settings.step_tolerance_m:
+        raise ConfigError(
+            f"measurement set {m.epoch_id}: ToAs up to {toa_max!r} s resolve ranges "
+            f"only to {resolution_m!r} m, more than step_tolerance_m="
+            f"{settings.step_tolerance_m!r}; the transmit stagger (schedule_period_s="
+            f"{m.schedule_period_s!r}) or clock offset swamps the flight time"
         )
     return [solve_single_reference(rd, layout, settings) for rd in compute_tdoas(m, layout)]

@@ -38,19 +38,23 @@ def compute_tdoas(m: MeasurementSet, layout: StationLayout) -> tuple[RangeDiffer
     """Every reference's set, ascending by reference id, with
     delta_d = c * ((toa_n - toa_e) - delta_ne).
 
-    The transmit-schedule offset delta_ne is known exactly (synchronized
-    stations) and cancels out of the arrival difference before scaling by
-    the speed of light. ``m`` must hold exactly the layout's stations; both
-    ascend by id, so sample k belongs to the layout's k-th station.
+    The transmit-schedule offset delta_ne = (n - e) * schedule period, as
+    :meth:`~irlspos.channel.MeasurementSet.transmission_offset` gives it, is
+    known exactly (synchronized stations) and cancels out of the arrival
+    difference before scaling by the speed of light. ``m`` must hold exactly
+    the layout's stations; both ascend by id, so sample k belongs to the
+    layout's k-th station.
     """
+    c = SPEED_OF_LIGHT_M_S
+    period = m.schedule_period_s
     samples = m.samples
-    coords = [(p.x, p.y) for p in layout.positions.values()]
+    coords = layout.coords
     sets = []
     for (e, toa_e), reference in zip(samples, coords):
-        rows = tuple(
-            (x, y, SPEED_OF_LIGHT_M_S * ((toa_n - toa_e) - m.transmission_offset(n, e)))
+        rows = tuple([
+            (x, y, c * ((toa_n - toa_e) - (n - e) * period))
             for (n, toa_n), (x, y) in zip(samples, coords)
             if n != e
-        )
+        ])
         sets.append(RangeDifferenceSet(e, reference, rows))
     return tuple(sets)

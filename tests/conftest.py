@@ -58,6 +58,18 @@ def exact_measurements(ue, stations, band, biases=None, schedule_period_s=0.0):
     )
 
 
+def ring_stations(n):
+    """``n`` stations on an ellipse around the hall's center, at the angles
+    ``numpy.linspace(0, 2 pi, n, endpoint=False)`` gives."""
+    step = 2 * math.pi / n
+    return [
+        BaseStation(
+            i + 1, Position2D(14.5 + 13.0 * math.cos(i * step), 12.5 + 11.0 * math.sin(i * step))
+        )
+        for i in range(n)
+    ]
+
+
 COORD = st.floats(0.0, 40.0)
 
 

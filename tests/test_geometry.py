@@ -128,14 +128,30 @@ def test_layout_sorts_by_id(stations):
     layout = check_station_layout(shuffled)
     assert [s.id for s in layout.stations] == [1, 2, 3, 4]
     assert list(layout.positions) == [1, 2, 3, 4]
+    assert layout.ids == (1, 2, 3, 4)
+    assert layout.coords == ((0.0, 0.0), (29.0, 0.0), (29.0, 25.0), (0.0, 25.0))
     assert layout.box == (0.0, 0.0, 29.0, 25.0)
     assert layout.solve_box(1.0) == (-1.0, -1.0, 30.0, 26.0)
     assert check_station_layout(layout) is layout
 
 
+def test_shared_layout_cannot_be_changed(stations):
+    layout = check_station_layout(stations)
+    with pytest.raises(TypeError):
+        layout.positions[1] = Position2D(5.0, 5.0)
+    with pytest.raises(TypeError):
+        del layout.positions[1]
+    with pytest.raises(AttributeError):
+        layout.positions.clear()
+    stations.append(BaseStation(5, Position2D(9.0, 9.0)))
+    assert layout.ids == (1, 2, 3, 4) and len(layout.positions) == 4
+    assert check_station_layout(stations[:4]) is layout
+
+
 @pytest.fixture
 def collinearity_tests(monkeypatch):
-    """Counts the collinearity tests, one per layout check."""
+    """Counts the collinearity tests, one per layout check, starting from an
+    empty memo of checked layouts."""
     calls = {"count": 0}
     original = geometry._all_collinear
 
@@ -144,6 +160,7 @@ def collinearity_tests(monkeypatch):
         return original(stations)
 
     monkeypatch.setattr(geometry, "_all_collinear", counting)
+    geometry._checked_layouts.clear()
     return calls
 
 
@@ -153,9 +170,32 @@ def test_layout_is_checked_once_per_fix(stations, band, collinearity_tests):
     assert collinearity_tests["count"] == 1
 
 
+def test_layout_is_checked_once_per_station_tuple(stations, band, collinearity_tests):
+    m = exact_measurements(Position2D(10.0, 10.0), stations, band)
+    first = irls_position(m, stations)
+    # the same list again, as a tuple, and equal stations built anew
+    rebuilt = [BaseStation(s.id, Position2D(s.position.x, s.position.y)) for s in stations]
+    for same in (stations, tuple(stations), rebuilt):
+        assert irls_position(m, same) == first
+    assert collinearity_tests["count"] == 1
+    # another order is another tuple, checked once more to an equal layout
+    assert irls_position(m, stations[::-1]) == first
+    assert collinearity_tests["count"] == 2
+
+
+def test_failing_layout_check_is_repeated(collinearity_tests):
+    sts = [BaseStation(i, Position2D(float(i), 2.0 * i)) for i in range(1, 5)]
+    for count in (1, 2):
+        with pytest.raises(GeometryError, match="collinear"):
+            check_station_layout(sts)
+        assert collinearity_tests["count"] == count
+
+
 @pytest.mark.parametrize("trials", [1, 3])
 def test_layout_is_checked_once_per_batch(trials, collinearity_tests):
     cfg = get_preset("semidynamic_cband").with_overrides(trials_per_poi=trials)
+    # the config's own check filled the memo
     collinearity_tests["count"] = 0
+    geometry._checked_layouts.clear()
     run_batch(cfg)
     assert collinearity_tests["count"] == 1

@@ -18,11 +18,13 @@ from hypothesis import strategies as st
 
 from irlspos import (
     BaseStation,
+    ConfigError,
     GeometryError,
     IrlsSettings,
     LinkState,
     MeasurementSet,
     Position2D,
+    SolverSettings,
     andrews_weight,
     emulate_measurement_set,
     euclidean_distance,
@@ -35,7 +37,15 @@ from irlspos.geometry import check_station_layout
 from irlspos.lsq import CandidateEstimate, solve_all_references
 from irlspos.presets import cband_profile, corner_stations
 from irlspos.tdoa import RangeDifferenceSet, compute_tdoas
-from conftest import AOI_H, AOI_W, deltas_by_id, exact_measurements, fixes, loaded_after
+from conftest import (
+    AOI_H,
+    AOI_W,
+    deltas_by_id,
+    exact_measurements,
+    fixes,
+    loaded_after,
+    ring_stations,
+)
 
 
 def scripted_oracle(m, stations, ls_settings=None, irls_settings=None):
@@ -338,14 +348,6 @@ def test_moderate_bias_matches_scripted_oracle(stations, band):
             assert w == pytest.approx(oracle["weights"][sid], abs=1e-9)
 
 
-def ring_stations(n):
-    """``n`` stations on an ellipse around the hall's center."""
-    return [
-        BaseStation(i + 1, Position2D(14.5 + 13.0 * math.cos(a), 12.5 + 11.0 * math.sin(a)))
-        for i, a in enumerate(np.linspace(0, 2 * math.pi, n, endpoint=False))
-    ]
-
-
 def test_outlier_rejection_hard_cutoff_many_stations(band):
     # with enough rotations to dilute the contamination, the biased
     # reference is hard-rejected while clean references keep weight:
@@ -457,6 +459,37 @@ def test_two_station_epoch_is_rejected():
     m = MeasurementSet(epoch_id=0, samples=((1, 1e-8), (2, 2e-8)))
     with pytest.raises(GeometryError, match="need at least 3 stations, got 2"):
         irls_position(m, stations)
+
+
+# ScenarioConfig's rule for its schedule, applied to the epoch: ids 1-4 are
+# staggered by up to 3 periods, and past 16 s one ulp of a ToA is 2**-48 s,
+# c times which is about 1.07e-6 m, more than the 1e-6 m step tolerance
+@pytest.mark.parametrize("period", [0.010, 5.3])
+def test_stagger_within_the_step_tolerance_is_accepted(period, stations, band):
+    ue = Position2D(11.0, 7.0)
+    m = exact_measurements(ue, stations, band, schedule_period_s=period)
+    assert euclidean_distance(irls_position(m, stations).position, ue) < 1e-6
+
+
+@pytest.mark.parametrize("period", [5.4, 1e3, 1e9])
+def test_stagger_that_swamps_the_flight_time_is_rejected(period, stations, band):
+    m = exact_measurements(Position2D(11.0, 7.0), stations, band, schedule_period_s=period)
+    with pytest.raises(ConfigError, match="swamps the flight time"):
+        irls_position(m, stations)
+
+
+def test_clock_offset_that_swamps_the_flight_time_is_rejected(stations, band):
+    m = exact_measurements(Position2D(11.0, 7.0), stations, band)
+    offset = MeasurementSet(epoch_id=0, samples=tuple((sid, toa + 1e3) for sid, toa in m.samples))
+    with pytest.raises(ConfigError, match="swamps the flight time"):
+        irls_position(offset, stations)
+
+
+def test_toa_bound_follows_the_step_tolerance(stations, band):
+    ue = Position2D(11.0, 7.0)
+    m = exact_measurements(ue, stations, band, schedule_period_s=5.4)
+    est = irls_position(m, stations, SolverSettings(step_tolerance_m=1e-5))
+    assert euclidean_distance(est.position, ue) < 1e-5
 
 
 # a permutation of up to 8 items: ORDERS draws it, reorder applies it
