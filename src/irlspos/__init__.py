@@ -1,6 +1,6 @@
 """Robust TDoA indoor positioning with reference rotation and Andrews-sine
-outlier rejection, plus a parametric multipath ToA emulator and a
-Monte-Carlo benchmark harness.
+outlier rejection, plus a statistical ToA emulator and a Monte-Carlo
+benchmark harness.
 
 The names below are the library's API: ``irls_position``, ``run_batch``
 and the types they take and return, plus the emulator and its helpers. The
@@ -10,10 +10,10 @@ pass, and ``solve_single_reference`` and ``solve_all_references`` solve
 them. It is imported from its modules.
 
 ``import irlspos``, loading a scenario and an ``irls_position`` fix run on
-plain floats and do not import numpy. The emulator's draws, the waveform
-functions and the solver's lstsq fallback import it when called. The
-harness names (``run_batch``, ``export_results``, ``summarize``,
-``TrialBatch``, ``TrialRecord`` and ``MethodSummary``) are resolved from
+plain floats and do not import numpy. The emulator's draws and the
+solver's lstsq fallback import it when called. The harness names
+(``run_batch``, ``export_results``, ``summarize``, ``TrialBatch``,
+``TrialRecord`` and ``MethodSummary``) are resolved from
 :mod:`irlspos.harness` on first access, since that module imports numpy
 when it loads."""
 
@@ -21,15 +21,8 @@ from .channel import (
     BandProfile,
     LinkState,
     MeasurementSet,
-    MultipathComponent,
-    SampledWaveform,
     emulate_measurement_set,
-    estimate_toa_from_waveform,
-    make_multipath_components,
-    raised_cosine_pulse,
-    synthesize_received_waveform,
     toa_noise_std,
-    waveform_noise_std,
 )
 from .config import BiasModel, ScenarioConfig, load_config
 from .errors import ConfigError, GeometryError
@@ -70,31 +63,24 @@ __all__ = [
     "LinkState",
     "MeasurementSet",
     "MethodSummary",
-    "MultipathComponent",
     "Position2D",
     "PositionEstimate",
     "PRESET_NAMES",
-    "SampledWaveform",
     "ScenarioConfig",
     "SolverSettings",
     "TrialBatch",
     "TrialRecord",
     "andrews_weight",
     "emulate_measurement_set",
-    "estimate_toa_from_waveform",
     "euclidean_distance",
     "export_results",
     "get_preset",
     "irls_position",
     "load_config",
-    "make_multipath_components",
-    "raised_cosine_pulse",
     "run_batch",
     "summarize",
-    "synthesize_received_waveform",
     "toa_noise_std",
     "true_first_toa",
-    "waveform_noise_std",
     "weighted_average",
 ]
 

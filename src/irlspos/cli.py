@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from . import presets
-from .config import UNUSED_FIDELITY_FIELDS, config_to_mapping, load_config
+from .config import config_to_mapping, load_config
 from .errors import ConfigError, GeometryError
 
 EXIT_OK = 0
@@ -95,7 +95,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         f"OK: {cfg.name or args.config}: {len(cfg.stations)} stations, "
         f"{len(cfg.pois)} PoIs, {n_trials} trials"
     )
-    print(f"note: accepted but unused by computation: {', '.join(UNUSED_FIDELITY_FIELDS)}")
     return EXIT_OK
 
 

@@ -14,28 +14,21 @@ error. The block below is itself a valid scenario file:
     pois:                             # >= 1 ground-truth evaluation points
       - {x: 10.0, y: 10.0}
     band:
-      carrier_frequency_hz: 3.775e9   # fidelity only, unused by computation
       bandwidth_hz: 1.0e8
-      subcarrier_spacing_hz: 3.0e4    # fidelity only, unused by computation
       signal_time_period_s: 1.0e-5
       snr_db: 20.0                    # or snr_linear (exactly one)
-      rolloff: 0.25
-      symbol_period_s: 1.25e-8        # default (1+rolloff)/bandwidth
     bias_model: {type: exponential, mean_m: 3.0}    # or {type: fixed, value_m: ...}
     nlos_probability: 0.3
     schedule_period_s: 0.010
     trials_per_poi: 50
     root_seed: 20240601
     noise_override_m: null            # 0.0 disables ranging noise
-    projected_3d: false               # adds height range offset
-    station_height_m: 4.0             # used only when projected_3d
-    poi_height_m: 1.0                 # used only when projected_3d
+    height_difference_m: 0.0          # station minus UE height; range = hypot(d_2d, this)
     solver:
       max_iterations: 50
       step_tolerance_m: 1.0e-6
       bounds_margin_m: 1.0            # solve box: station box plus this; start: station centroid
     irls: {u_max_m: 1.0, epsilon_m: 1.0e-3, max_iterations: 100}
-    transmit_power_dbm: 20.0          # fidelity only, unused
 
 Each scalar is read by the one rule in :mod:`irlspos.geometry` that also
 applies to values set in code: an integral float counts as an integer and a
@@ -56,7 +49,6 @@ from .geometry import (
     SPEED_OF_LIGHT_M_S,
     BaseStation,
     Position2D,
-    as_flag,
     as_integer,
     as_number,
     check_station_layout,
@@ -67,14 +59,6 @@ from .lsq import SolverSettings
 
 # PoI and trial indices are each one 32-bit word of a trial's seed key
 SEED_KEY_LIMIT = 2**32
-
-# accepted for scenario fidelity, never read by any computation
-UNUSED_FIDELITY_FIELDS = (
-    "band.carrier_frequency_hz",
-    "band.subcarrier_spacing_hz",
-    "transmit_power_dbm",
-)
-
 
 @dataclass(frozen=True)
 class BiasModel:
@@ -123,12 +107,9 @@ class ScenarioConfig:
     trials_per_poi: int = 50
     root_seed: int = 20240601
     noise_override_m: float | None = None
-    projected_3d: bool = False
-    station_height_m: float = 4.0
-    poi_height_m: float = 1.0
+    height_difference_m: float = 0.0
     solver: SolverSettings = field(default_factory=SolverSettings)
     irls: IrlsSettings = field(default_factory=IrlsSettings)
-    transmit_power_dbm: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "name", str(self.name))
@@ -137,14 +118,11 @@ class ScenarioConfig:
             as_number,
             "nlos_probability",
             "schedule_period_s",
-            "station_height_m",
-            "poi_height_m",
+            "height_difference_m",
         )
         read_fields(self, as_integer, "trials_per_poi", "root_seed")
-        read_fields(self, as_flag, "projected_3d")
-        for name in ("noise_override_m", "transmit_power_dbm"):
-            if getattr(self, name) is not None:
-                read_fields(self, as_number, name)
+        if self.noise_override_m is not None:
+            read_fields(self, as_number, "noise_override_m")
         try:
             layout = check_station_layout(self.stations)
         except GeometryError as exc:
@@ -194,13 +172,6 @@ class ScenarioConfig:
             raise ConfigError(f"root_seed must be >= 0, got {self.root_seed!r}")
         if self.noise_override_m is not None and self.noise_override_m < 0:
             raise ConfigError(f"noise_override_m must be >= 0, got {self.noise_override_m!r}")
-
-    @property
-    def height_difference_m(self) -> float:
-        """Range-offset height used when projected-3D mode is enabled."""
-        if not self.projected_3d:
-            return 0.0
-        return self.station_height_m - self.poi_height_m
 
     def with_overrides(
         self, *, root_seed: int | None = None, trials_per_poi: int | None = None
@@ -255,12 +226,18 @@ def _point(raw: dict, what: str) -> Position2D:
 
 
 def _band_from_mapping(raw: Any) -> BandProfile:
-    band = _checked(raw, "band", {**_keys(BandProfile.with_defaults), "snr_db": False})
+    band = _checked(raw, "band", {**_keys(BandProfile), "snr_db": False})
     if ("snr_db" in band) == ("snr_linear" in band):
         raise ConfigError("band: specify exactly one of snr_db or snr_linear")
     if "snr_db" in band:
-        band["snr_linear"] = 10.0 ** (as_number(band.pop("snr_db"), "band.snr_db") / 10.0)
-    return _built(BandProfile.with_defaults, "band", band)
+        snr_db = as_number(band.pop("snr_db"), "band.snr_db")
+        try:
+            band["snr_linear"] = 10.0 ** (snr_db / 10.0)
+        except OverflowError as exc:
+            raise ConfigError(
+                f"band.snr_db: {snr_db!r} dB is too large for a linear SNR"
+            ) from exc
+    return _built(BandProfile, "band", band)
 
 
 def _bias_from_mapping(raw: Any) -> BiasModel:

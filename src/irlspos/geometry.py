@@ -102,12 +102,6 @@ def as_integer(value: Any, what: str) -> int:
     raise ConfigError(f"{what}: expected an integer, got {value!r}")
 
 
-def as_flag(value: Any, what: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{what}: expected true or false, got {value!r}")
-    return value
-
-
 def read_fields(obj: object, read: Callable[[Any, str], Any], *names: str) -> None:
     """Replace each named field of the frozen dataclass ``obj`` by what
     ``read`` returns for it, so the instance holds typed values."""

@@ -10,7 +10,11 @@ preset is built without numpy; a test repeats the draw and checks that they
 are equal.
 
 Bands: C-band (3.775 GHz carrier, 100 MHz bandwidth, 30 kHz subcarrier
-spacing) and mmWave (26.85 GHz, 400 MHz, 120 kHz), both at 20 dB SNR.
+spacing) and mmWave (26.85 GHz, 400 MHz, 120 kHz), both at 20 dB SNR and
+20 dBm transmit power over a 10 us integration time. Only the bandwidth,
+SNR and integration time enter the ranging noise (``toa_noise_std``), so
+a ``BandProfile`` holds just those; carrier, subcarrier spacing and
+transmit power are recorded here as the scenarios' description.
 
 Static presets have no NLoS flips; semi-dynamic presets flip each link to
 NLoS with probability 0.3 per trial with an exponential excess range of
@@ -74,21 +78,11 @@ def corner_stations() -> tuple[BaseStation, ...]:
 
 
 def cband_profile(snr_db: float = 20.0) -> BandProfile:
-    return BandProfile.with_defaults(
-        carrier_frequency_hz=3.775e9,
-        bandwidth_hz=100e6,
-        subcarrier_spacing_hz=30e3,
-        snr_linear=10.0 ** (snr_db / 10.0),
-    )
+    return BandProfile(bandwidth_hz=100e6, snr_linear=10.0 ** (snr_db / 10.0))
 
 
 def mmwave_profile(snr_db: float = 20.0) -> BandProfile:
-    return BandProfile.with_defaults(
-        carrier_frequency_hz=26.85e9,
-        bandwidth_hz=400e6,
-        subcarrier_spacing_hz=120e3,
-        snr_linear=10.0 ** (snr_db / 10.0),
-    )
+    return BandProfile(bandwidth_hz=400e6, snr_linear=10.0 ** (snr_db / 10.0))
 
 
 def get_preset(name: str) -> ScenarioConfig:
@@ -104,6 +98,5 @@ def get_preset(name: str) -> ScenarioConfig:
         nlos_probability=0.3 if semidynamic else 0.0,
         schedule_period_s=0.010,
         trials_per_poi=50,
-        transmit_power_dbm=20.0,
         name=name,
     )

@@ -50,18 +50,14 @@ import pytest
 
 from irlspos import (
     IrlsSettings,
-    MultipathComponent,
     Position2D,
     SPEED_OF_LIGHT_M_S,
     andrews_weight,
-    estimate_toa_from_waveform,
     euclidean_distance,
     irls_position,
     run_batch,
     summarize,
-    synthesize_received_waveform,
     toa_noise_std,
-    waveform_noise_std,
 )
 from irlspos.channel import LinkState, emulate_measurement_set
 from irlspos.geometry import check_station_layout
@@ -70,6 +66,13 @@ from irlspos.lsq import solve_single_reference
 from irlspos.presets import cband_profile, corner_stations, get_preset
 from irlspos.tdoa import compute_tdoas
 from conftest import AOI_H, AOI_W, deltas_by_id, exact_measurements
+from waveform import (
+    MultipathComponent,
+    estimate_toa_from_waveform,
+    symbol_period_s,
+    synthesize_received_waveform,
+    waveform_noise_std,
+)
 
 STATIONS = list(corner_stations())
 LAYOUT = check_station_layout(STATIONS)
@@ -303,7 +306,8 @@ def test_criterion_7_noise_model_validation():
     noise = waveform_noise_std(band, fs)
     predicted = toa_noise_std(band) / SPEED_OF_LIGHT_M_S
     tau0 = 1e-7
-    span = (tau0 - 8 * band.symbol_period_s, tau0 + dt + 8 * band.symbol_period_s)
+    T = symbol_period_s(band)
+    span = (tau0 - 8 * T, tau0 + dt + 8 * T)
     rng = np.random.default_rng(20240607)
     errors = np.empty(1000)
     for i in range(1000):

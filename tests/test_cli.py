@@ -1,7 +1,11 @@
 """Command-line surface: subcommands, exit codes, output files."""
 
+from pathlib import Path
+
+import pytest
 import yaml
 
+import irlspos
 from irlspos.cli import EXIT_CONFIG, EXIT_OK, main
 from irlspos.config import config_to_mapping, load_config
 from irlspos.presets import PRESET_NAMES, get_preset
@@ -37,9 +41,7 @@ def test_presets_show_round_trips(capsys, tmp_path):
 
 def test_validate_preset(capsys):
     assert main(["validate", "static_cband"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "OK" in out
-    assert "unused" in out  # fidelity-only fields are called out
+    assert capsys.readouterr().out == "OK: static_cband: 4 stations, 23 PoIs, 1150 trials\n"
 
 
 def test_validate_bad_config(tmp_path, capsys):
@@ -65,17 +67,49 @@ def test_unreachable_poi_exits_with_config_error(tmp_path, capsys):
 
 
 def test_unknown_key_exits_with_config_error(tmp_path, capsys):
-    # a misspelt key, and a key the solver no longer reads
-    solver = config_to_mapping(get_preset("static_cband"))["solver"]
+    # a misspelt key, and keys that no computation reads any more: the
+    # solver's start, the band's carrier, subcarrier spacing and pulse shape,
+    # the transmit power, and the heights behind height_difference_m
+    raw = config_to_mapping(get_preset("static_cband"))
+    solver, band = raw["solver"], raw["band"]
     for overrides, key in (
         ({"nlos_probabilty": 0.3}, "nlos_probabilty"),
         ({"solver": {**solver, "initial_guess": [1.0, 2.0]}}, "initial_guess"),
+        ({"band": {**band, "carrier_frequency_hz": 3.775e9}}, "carrier_frequency_hz"),
+        ({"band": {**band, "subcarrier_spacing_hz": 3.0e4}}, "subcarrier_spacing_hz"),
+        ({"band": {**band, "rolloff": 0.25}}, "rolloff"),
+        ({"band": {**band, "symbol_period_s": 1.25e-8}}, "symbol_period_s"),
+        ({"transmit_power_dbm": 20.0}, "transmit_power_dbm"),
+        ({"projected_3d": True}, "projected_3d"),
+        ({"station_height_m": 4.0}, "station_height_m"),
+        ({"poi_height_m": 1.0}, "poi_height_m"),
     ):
         path = write_small_scenario(tmp_path, **overrides)
         assert main(["validate", str(path)]) == EXIT_CONFIG
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert capsys.readouterr().err.count(f"unknown key '{key}'") == 2
         assert not (tmp_path / "out").exists()
+
+
+# each used to end in exit 1 at the first trial or at load: 10 ** 400
+# overflows, and (2 pi B)^2 * B underflows to 0
+@pytest.mark.parametrize(
+    "band,message",
+    [
+        pytest.param({"bandwidth_hz": 1e8, "snr_db": 4000}, "band.snr_db", id="huge-snr-db"),
+        pytest.param(
+            {"bandwidth_hz": 1e-200, "snr_linear": 100.0},
+            "no finite ranging noise std",
+            id="tiny-bandwidth",
+        ),
+    ],
+)
+def test_band_without_a_finite_noise_std_exits_with_config_error(tmp_path, capsys, band, message):
+    path = write_small_scenario(tmp_path, band=band)
+    assert main(["validate", str(path)]) == EXIT_CONFIG
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.count(message) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_stagger_that_swamps_the_flight_time_exits_with_config_error(tmp_path, capsys):
@@ -90,6 +124,15 @@ def test_validate_and_presets_list_load_neither_numpy_nor_yaml():
     for argv in (["validate", "static_cband"], ["presets", "list"]):
         code = f"from irlspos.cli import main; assert main({argv!r}) == 0"
         assert loaded_after(code, ("numpy", "yaml")) == "[]", argv
+
+
+def test_run_loads_no_scipy(tmp_path):
+    # scipy serves only the tests' waveform pipeline
+    argv = ["run", "static_cband", "--trials", "1", "--out", str(tmp_path)]
+    code = f"from irlspos.cli import main; assert main({argv!r}) == 0"
+    assert loaded_after(code, ("scipy",)) == "[]"
+    for path in Path(irlspos.__file__).parent.glob("*.py"):
+        assert "scipy" not in path.read_text(), path.name
 
 
 def test_validate_missing_file(tmp_path, capsys):

@@ -11,6 +11,7 @@ import pytest
 
 import irlspos
 from irlspos import (
+    SPEED_OF_LIGHT_M_S,
     BandProfile,
     BiasModel,
     ConfigError,
@@ -71,8 +72,7 @@ def test_yaml_round_trip(tmp_path):
             bias_model=BiasModel(kind="fixed", value_m=2.0),
             solver=SolverSettings(max_iterations=20, bounds_margin_m=2.0),
             noise_override_m=0.5,
-            projected_3d=True,
-            transmit_power_dbm=None,
+            height_difference_m=3.0,
         )
     )
     for cfg in configs:
@@ -133,12 +133,6 @@ def test_field_specific_errors(mutate, message):
         config_from_mapping(raw)
 
 
-def _zero_bandwidth(raw):
-    # with no symbol period to go on, this raised ZeroDivisionError
-    raw["band"]["bandwidth_hz"] = 0
-    del raw["band"]["symbol_period_s"]
-
-
 # malformed scalars: never exit 1, never truncated
 @pytest.mark.parametrize(
     "mutate,message",
@@ -159,14 +153,13 @@ def _zero_bandwidth(raw):
             id="fractional-station-id",
         ),
         pytest.param(
-            lambda r: r.__setitem__("station_height_m", float("nan")),
-            "station_height_m",
+            lambda r: r.__setitem__("height_difference_m", float("nan")),
+            "height_difference_m",
             id="nan-height",
         ),
         pytest.param(
             lambda r: r["band"].__setitem__("snr_linear", "abc"), "snr_linear", id="text-snr"
         ),
-        pytest.param(lambda r: r["band"].__setitem__("rolloff", [0.25]), "rolloff", id="list-rolloff"),
         pytest.param(
             lambda r: r.__setitem__("bias_model", {"type": "exponential", "mean_m": "x"}),
             "mean_m",
@@ -179,12 +172,6 @@ def _zero_bandwidth(raw):
             id="fractional-max-iterations",
         ),
         pytest.param(
-            lambda r: r.__setitem__("projected_3d", "yes"), "projected_3d", id="text-projected-3d"
-        ),
-        pytest.param(
-            lambda r: r.__setitem__("projected_3d", 1), "projected_3d", id="integer-projected-3d"
-        ),
-        pytest.param(
             lambda r: r.__setitem__("noise_override_m", float("nan")),
             "noise_override_m",
             id="nan-noise-override",
@@ -194,12 +181,6 @@ def _zero_bandwidth(raw):
             "noise_override_m",
             id="inf-noise-override",
         ),
-        pytest.param(
-            lambda r: r.__setitem__("poi_height_m", float("-inf")),
-            "poi_height_m",
-            id="inf-poi-height",
-        ),
-        pytest.param(_zero_bandwidth, "bandwidth_hz", id="zero-bandwidth-derived-symbol-period"),
         pytest.param(
             lambda r: r["solver"].__setitem__("initial_guess", [1.0]),
             "initial_guess",
@@ -228,36 +209,30 @@ def _band(**fields):
     return replace(get_preset("static_cband").band, **fields)
 
 
-def _derived_band(**fields):
-    # no symbol period given: with_defaults derives it from bandwidth and rolloff
-    given = {"carrier_frequency_hz": 3.775e9, "bandwidth_hz": 1e8, "subcarrier_spacing_hz": 3e4}
-    return BandProfile.with_defaults(**{**given, **fields})
+def _default_band(**fields):
+    # the fields left out take their defaults
+    return BandProfile(**{"bandwidth_hz": 1e8, **fields})
 
 
 # fields set in code follow the type rule of the YAML readers: each case
 # names its field in a ConfigError, where a text, None or list value used to
-# raise TypeError, a NaN noise override failed only at the first trial's ToA
-# check, and a text projected_3d counted as true
+# raise TypeError and a NaN noise override failed only at the first trial's
+# ToA check
 @pytest.mark.parametrize(
     "build,field,value",
     [
         pytest.param(_scenario, "noise_override_m", float("nan"), id="nan-noise-override"),
         pytest.param(_scenario, "noise_override_m", float("inf"), id="inf-noise-override"),
         pytest.param(_scenario, "noise_override_m", -0.5, id="negative-noise-override"),
-        pytest.param(_scenario, "station_height_m", float("nan"), id="nan-station-height"),
-        pytest.param(_scenario, "station_height_m", float("inf"), id="inf-station-height"),
-        pytest.param(_scenario, "poi_height_m", float("nan"), id="nan-poi-height"),
-        pytest.param(_scenario, "poi_height_m", float("-inf"), id="inf-poi-height"),
-        pytest.param(_scenario, "projected_3d", "yes", id="text-projected-3d"),
-        pytest.param(_scenario, "projected_3d", 1, id="integer-projected-3d"),
+        pytest.param(_scenario, "height_difference_m", float("nan"), id="nan-height-difference"),
+        pytest.param(_scenario, "height_difference_m", float("inf"), id="inf-height-difference"),
         pytest.param(_scenario, "nlos_probability", "abc", id="text-probability"),
         pytest.param(_scenario, "schedule_period_s", None, id="none-schedule-period"),
-        pytest.param(_scenario, "station_height_m", [4.0], id="list-station-height"),
+        pytest.param(_scenario, "height_difference_m", [4.0], id="list-height-difference"),
         pytest.param(_scenario, "nlos_probability", True, id="bool-probability"),
         pytest.param(_scenario, "trials_per_poi", None, id="none-trials"),
         pytest.param(_scenario, "root_seed", "7", id="text-seed"),
         pytest.param(_scenario, "noise_override_m", "x", id="text-noise-override"),
-        pytest.param(_scenario, "transmit_power_dbm", [20.0], id="list-transmit-power"),
         pytest.param(SolverSettings, "max_iterations", "50", id="solver-text-max-iterations"),
         pytest.param(SolverSettings, "bounds_margin_m", None, id="solver-none-margin"),
         pytest.param(SolverSettings, "step_tolerance_m", [1e-6], id="solver-list-tolerance"),
@@ -273,10 +248,7 @@ def _derived_band(**fields):
         pytest.param(BiasModel, "value_m", True, id="bias-bool-value"),
         pytest.param(_band, "bandwidth_hz", "abc", id="band-text-bandwidth"),
         pytest.param(_band, "snr_linear", None, id="band-none-snr"),
-        pytest.param(_band, "rolloff", [0.25], id="band-list-rolloff"),
-        pytest.param(_band, "carrier_frequency_hz", True, id="band-bool-carrier"),
-        pytest.param(_derived_band, "bandwidth_hz", "abc", id="band-defaults-text-bandwidth"),
-        pytest.param(_derived_band, "rolloff", None, id="band-defaults-none-rolloff"),
+        pytest.param(_default_band, "bandwidth_hz", "abc", id="band-defaults-text-bandwidth"),
     ],
 )
 def test_malformed_fields_set_in_code_are_config_errors(build, field, value):
@@ -385,7 +357,7 @@ def test_schema_docstring_names_every_accepted_key():
     fixed = replace(exponential, bias_model=BiasModel(kind="fixed", value_m=1.0))
     accepted = _keys_in(config_to_mapping(exponential)) | _keys_in(config_to_mapping(fixed))
     accepted.add("snr_db")
-    assert len(accepted) == 35
+    assert len(accepted) == 28
     for key in sorted(accepted):
         assert re.search(rf"\b{key}\b", config.__doc__), key
 
@@ -488,19 +460,26 @@ def test_stagger_bound_follows_the_ids_and_the_tolerance():
 
 
 def test_projected_3d_height():
+    # the file's height difference reaches every emulated range
     cfg = get_preset("static_cband")
     assert cfg.height_difference_m == 0.0
     raw = config_to_mapping(cfg)
-    raw["projected_3d"] = True
+    raw["height_difference_m"] = 3.0
+    raw["noise_override_m"] = 0.0
     cfg3d = config_from_mapping(raw)
-    assert cfg3d.height_difference_m == pytest.approx(3.0)
+    mset, _ = harness.emulate_trial_measurements(cfg3d, 0, 0)
+    poi = cfg3d.pois[0]
+    for (sid, toa), st in zip(mset.samples, cfg3d.stations):
+        stagger = (sid - 1) * cfg3d.schedule_period_s
+        dist = math.hypot(poi.x - st.position.x, poi.y - st.position.y)
+        expected = math.hypot(dist, 3.0) / SPEED_OF_LIGHT_M_S
+        assert toa - stagger == pytest.approx(expected, abs=1e-17), sid
 
 
 def test_all_presets_valid():
     for name in PRESET_NAMES:
         cfg = get_preset(name)
         assert cfg.name == name
-        assert cfg.transmit_power_dbm == 20.0  # accepted, unused
 
 
 def test_preset_load_leaves_yaml_and_scipy_unloaded():
