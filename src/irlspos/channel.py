@@ -10,6 +10,11 @@ Measurement timestamps include the per-station transmit stagger of the
 sequential schedule (station with id ``n`` transmits ``(n - min_id) * delta``
 after the first one); the TDoA stage removes the stagger exactly, since the
 station clocks are assumed synchronized.
+
+Every ToA comes from one formula, :func:`arrival_samples`. The harness
+feeds it per-config constants (``ScenarioConfig.emulation``): the stations'
+ranges to each PoI and their staggers are computed once per config, not
+once per trial.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from .geometry import (
     BaseStation,
     Position2D,
     as_number,
-    euclidean_distance,
     is_int,
     read_fields,
     sorted_stations,
@@ -74,9 +78,53 @@ class LinkState:
     nlos_bias_m: float = 0.0
 
     def __post_init__(self) -> None:
+        # the common case, a finite float >= 0, passes the full check as it is
+        bias = self.nlos_bias_m
+        if not (bias.__class__ is float and 0.0 <= bias < math.inf):
+            self._check()
+
+    def _check(self) -> None:
         read_fields(self, as_number, "nlos_bias_m")
         if self.nlos_bias_m < 0:
             raise ConfigError(f"nlos_bias_m must be >= 0, got {self.nlos_bias_m!r}")
+
+
+# |ToA| and largest transmit stagger, in seconds, under which no range
+# difference c*((toa_n - toa_e) - delta_ne) can overflow: c * 3e299 < 1.8e308
+COMMON_EPOCH_BOUND_S = 1e299
+
+
+def _is_common_epoch(samples: object, schedule_period_s: object) -> bool:
+    """True for an epoch that passes the full check of
+    :class:`MeasurementSet` unchanged, tested in O(N): a tuple of
+    ``(int, float)`` tuples with strictly ascending ids that are not bools,
+    ToAs within ``COMMON_EPOCH_BOUND_S``, and a float period whose largest
+    stagger is within it too. Anything else takes the full check."""
+    period = schedule_period_s
+    if not (
+        period.__class__ is float
+        and 0.0 <= period < COMMON_EPOCH_BOUND_S
+        and samples.__class__ is tuple
+        and samples
+    ):
+        return False
+    bound = COMMON_EPOCH_BOUND_S
+    previous = None
+    try:
+        for sample in samples:
+            sid, toa = sample
+            if not (
+                sample.__class__ is tuple
+                and sid.__class__ is int
+                and toa.__class__ is float
+                and -bound < toa < bound
+                and (previous is None or sid > previous)
+            ):
+                return False
+            previous = sid
+        return (previous - samples[0][0]) * period < bound
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 @dataclass(frozen=True)
@@ -95,6 +143,12 @@ class MeasurementSet:
     schedule_period_s: float = 0.0
 
     def __post_init__(self) -> None:
+        if not _is_common_epoch(self.samples, self.schedule_period_s):
+            self._check()
+
+    def _check(self) -> None:
+        """The full rule: every sample read and sorted by id, and every
+        pair's range difference tested."""
         if len(self.samples) < 1:
             raise ConfigError("measurement set has no samples")
         for sid, _ in self.samples:
@@ -146,6 +200,49 @@ def toa_noise_std(band: BandProfile) -> float:
     return math.sqrt(variance)
 
 
+def ranging_noise_m(band: BandProfile, noise_std_m: float | None = None) -> float:
+    """The ranging noise std in meters: ``toa_noise_std(band)``, or
+    ``noise_std_m`` when it is given (0 disables the noise)."""
+    sigma_m = toa_noise_std(band) if noise_std_m is None else noise_std_m
+    if sigma_m < 0:
+        raise ConfigError(f"noise_std_m must be >= 0, got {sigma_m}")
+    return sigma_m
+
+
+def transmit_staggers(ids: Sequence[int], schedule_period_s: float) -> tuple[float, ...]:
+    """Each station's transmit stagger ``(id - min_id) * schedule_period_s``,
+    for ``ids`` in ascending order."""
+    return tuple([(sid - ids[0]) * schedule_period_s for sid in ids])
+
+
+def station_ranges(
+    ue: Position2D, coords: Sequence[tuple[float, float]], height_difference_m: float = 0.0
+) -> tuple[float, ...]:
+    """The range from ``ue`` to each station at ``coords`` (x, y): the 2D
+    distance, or sqrt(d_2d^2 + height_difference_m^2) when the height
+    difference is not 0."""
+    ranges = [math.hypot(ue.x - x, ue.y - y) for x, y in coords]
+    if height_difference_m != 0.0:
+        ranges = [math.hypot(dist, height_difference_m) for dist in ranges]
+    return tuple(ranges)
+
+
+def arrival_samples(
+    ids: Sequence[int],
+    staggers: Sequence[float],
+    ranges: Sequence[float],
+    biases: Sequence[float],
+    noise: Sequence[float],
+) -> tuple[tuple[int, float], ...]:
+    """One ``(station id, ToA)`` sample per station, in the order given:
+    ToA = stagger + (range + nlos_bias + noise) / c."""
+    c = SPEED_OF_LIGHT_M_S
+    return tuple([
+        (sid, stagger + (range_m + bias + noise_m) / c)
+        for sid, stagger, range_m, bias, noise_m in zip(ids, staggers, ranges, biases, noise)
+    ])
+
+
 def emulate_measurement_set(
     ue: Position2D,
     stations: Sequence[BaseStation],
@@ -177,9 +274,7 @@ def emulate_measurement_set(
             f"link states {sorted(link_by_id)} do not match stations "
             f"{sorted(s.id for s in sts)}"
         )
-    sigma_m = toa_noise_std(band) if noise_std_m is None else noise_std_m
-    if sigma_m < 0:
-        raise ConfigError(f"noise_std_m must be >= 0, got {sigma_m}")
+    sigma_m = ranging_noise_m(band, noise_std_m)
 
     gen = (
         rng_seed
@@ -187,17 +282,16 @@ def emulate_measurement_set(
         else np.random.default_rng(rng_seed)
     )
     noise = gen.normal(0.0, sigma_m, len(sts)).tolist()
-    min_id = sts[0].id
-    samples = []
-    for st, noise_m in zip(sts, noise):
-        dist = euclidean_distance(ue, st.position)
-        if height_difference_m != 0.0:
-            dist = math.hypot(dist, height_difference_m)
-        range_m = dist + link_by_id[st.id].nlos_bias_m + noise_m
-        toa = (st.id - min_id) * schedule_period_s + range_m / SPEED_OF_LIGHT_M_S
-        samples.append((st.id, toa))
+    ids = [s.id for s in sts]
+    samples = arrival_samples(
+        ids,
+        transmit_staggers(ids, schedule_period_s),
+        station_ranges(ue, [(s.position.x, s.position.y) for s in sts], height_difference_m),
+        [link_by_id[sid].nlos_bias_m for sid in ids],
+        noise,
+    )
     return MeasurementSet(
         epoch_id=epoch_id,
-        samples=tuple(samples),
+        samples=samples,
         schedule_period_s=schedule_period_s,
     )

@@ -40,10 +40,17 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Any
 
-from .channel import BandProfile
+from .channel import (
+    BandProfile,
+    LinkState,
+    ranging_noise_m,
+    station_ranges,
+    transmit_staggers,
+)
 from .errors import ConfigError, GeometryError
 from .geometry import (
     SPEED_OF_LIGHT_M_S,
@@ -172,6 +179,21 @@ class ScenarioConfig:
             raise ConfigError(f"root_seed must be >= 0, got {self.root_seed!r}")
         if self.noise_override_m is not None and self.noise_override_m < 0:
             raise ConfigError(f"noise_override_m must be >= 0, got {self.noise_override_m!r}")
+
+    @cached_property
+    def emulation(self) -> tuple:
+        """What every trial's emulation shares, built at first use and kept
+        with the config: the ascending station ids, each station's LoS link
+        state, its transmit stagger in seconds, the ranging noise std in
+        meters, and per PoI the range to each station in id order."""
+        layout = check_station_layout(self.stations)
+        return (
+            layout.ids,
+            tuple(LinkState(sid) for sid in layout.ids),
+            transmit_staggers(layout.ids, self.schedule_period_s),
+            ranging_noise_m(self.band, self.noise_override_m),
+            tuple(station_ranges(p, layout.coords, self.height_difference_m) for p in self.pois),
+        )
 
     def with_overrides(
         self, *, root_seed: int | None = None, trials_per_poi: int | None = None

@@ -36,9 +36,9 @@ from typing import Iterator, Sequence
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .channel import LinkState, MeasurementSet, emulate_measurement_set
+from .channel import LinkState, MeasurementSet, arrival_samples
 from .config import ScenarioConfig
-from .geometry import check_station_layout, euclidean_distance, sorted_stations
+from .geometry import check_station_layout, euclidean_distance
 from .irls import irls_position
 
 # not called here: run_batch reaches both through irls_position, but
@@ -183,12 +183,15 @@ def block_trial_rngs(
 
 
 def draw_link_states(cfg: ScenarioConfig, rng: np.random.Generator) -> list[LinkState]:
-    """Per-station Bernoulli NLoS flips and bias draws, ascending id order."""
+    """Per-station Bernoulli NLoS flips and bias draws, ascending id order.
+    A LoS link is the config's shared, frozen LoS state of its station."""
+    ids, los_links = cfg.emulation[:2]
     links = []
-    for st in sorted_stations(cfg.stations):
-        nlos = bool(rng.random() < cfg.nlos_probability)
-        bias = cfg.bias_model.draw(rng) if nlos else 0.0
-        links.append(LinkState(station_id=st.id, nlos_bias_m=bias))
+    for sid, los in zip(ids, los_links):
+        if rng.random() < cfg.nlos_probability:
+            links.append(LinkState(sid, cfg.bias_model.draw(rng)))
+        else:
+            links.append(los)
     return links
 
 
@@ -200,23 +203,19 @@ def emulate_trial_measurements(
 ) -> tuple[MeasurementSet, list[LinkState]]:
     """The measurement set both methods consume for one (PoI, trial).
     ``rngs`` are the trial's fresh (link/bias, noise) generators, by default
-    those of :func:`trial_rngs`."""
+    those of :func:`trial_rngs`. The epoch is what
+    :func:`~irlspos.channel.emulate_measurement_set` makes from the same
+    generators, built from the config's ``emulation`` constants."""
     if rngs is None:
         rngs = trial_rngs(cfg.root_seed, poi_index, trial_index)
     link_rng, noise_rng = rngs
+    ids, _, staggers, sigma_m, ranges = cfg.emulation
     links = draw_link_states(cfg, link_rng)
-    mset = emulate_measurement_set(
-        cfg.pois[poi_index],
-        cfg.stations,
-        links,
-        cfg.band,
-        noise_rng,
-        schedule_period_s=cfg.schedule_period_s,
-        noise_std_m=cfg.noise_override_m,
-        height_difference_m=cfg.height_difference_m,
-        epoch_id=trial_index,
+    noise = noise_rng.normal(0.0, sigma_m, len(ids)).tolist()
+    samples = arrival_samples(
+        ids, staggers, ranges[poi_index], [ln.nlos_bias_m for ln in links], noise
     )
-    return mset, links
+    return MeasurementSet(trial_index, samples, cfg.schedule_period_s), links
 
 
 def run_batch(cfg: ScenarioConfig) -> TrialBatch:

@@ -298,10 +298,17 @@ def test_criterion_6_andrews_unit_suite():
     assert ok
 
 
+# The sample std of 1,000 Gaussian errors has a relative standard error of
+# 1/sqrt(2 * 999), about 2.2%, so the [0.9, 1.1] band is about 4.5 of them.
+# The matched filter's sub-sample peak keeps the ratio near 1 at 16 samples
+# per 1/B; this seed reads 0.967, 0.973 and 1.004 at 512, 64 and 16.
+NOISE_RATIO_BAND = (0.9, 1.1)
+
+
 def test_criterion_7_noise_model_validation():
     start = time.perf_counter()
     band = CBAND  # B = 100 MHz, SNR 20 dB
-    fs = 512 * band.bandwidth_hz
+    fs = 16 * band.bandwidth_hz
     dt = 1.0 / fs
     noise = waveform_noise_std(band, fs)
     predicted = toa_noise_std(band) / SPEED_OF_LIGHT_M_S
@@ -319,14 +326,15 @@ def test_criterion_7_noise_model_validation():
     measured = float(errors.std(ddof=1))
     elapsed = time.perf_counter() - start
     ratio = measured / predicted
-    ok = (1 / 3) <= ratio <= 3 and elapsed < 60.0
+    low, high = NOISE_RATIO_BAND
+    ok = low <= ratio <= high and elapsed < 60.0
     assert verdict(
         "7 noise-model validation",
         ok,
         f"measured ToA std {measured:.3e} s vs predicted {predicted:.3e} s "
-        f"(ratio {ratio:.2f}), {elapsed:.1f} s",
+        f"(ratio {ratio:.3f}, band [{low}, {high}]), {elapsed:.1f} s",
     )
-    assert (1 / 3) <= ratio <= 3
+    assert low <= ratio <= high
     assert elapsed < 60.0
 
 

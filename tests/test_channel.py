@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import irlspos
 from irlspos import (
@@ -28,6 +30,8 @@ from irlspos import (
     toa_noise_std,
     true_first_toa,
 )
+from irlspos import harness
+from irlspos.presets import PRESET_NAMES, get_preset
 from conftest import exact_measurements, fingerprint, toa, transmission_offsets
 from waveform import (
     ROLLOFF,
@@ -153,6 +157,96 @@ def test_huge_toas_whose_stagger_cancels_are_accepted():
     # every range difference here is 0: the check is on each pair, not a bound
     m = MeasurementSet(0, ((1, 0.0), (2, 1e300), (3, 2e300)), 1e300)
     assert m.samples == ((1, 0.0), (2, 1e300), (3, 2e300))
+
+
+def fully_checked(cls, *values):
+    """An instance of ``cls`` holding ``values`` that went through the full
+    check alone, the rule the O(N) common-case test stands in for."""
+    obj = object.__new__(cls)
+    for f, value in zip(fields(cls), values):
+        object.__setattr__(obj, f.name, value)
+    obj._check()
+    return obj
+
+
+def outcome(build):
+    """What building gives: the exception raised, or each stored field's
+    repr (which tells 0.0 from -0.0 and a numpy scalar from a float)."""
+    try:
+        obj = build()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return tuple(repr(getattr(obj, f.name)) for f in fields(obj))
+
+
+EDGE_NUMBERS = [math.nan, math.inf, -math.inf, 1e300, -1e300, 1e299, -1e299, 0.0, -0.0]
+NUMBERS = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.sampled_from(EDGE_NUMBERS),
+    st.floats(),
+    st.integers(-3, 3),
+    st.floats(-1.0, 1.0).map(np.float64),
+    st.floats(-1.0, 1.0).map(repr),
+    st.sampled_from([None, "x", True, [1e-8]]),
+)
+IDS = st.one_of(
+    st.integers(-3, 6),
+    st.booleans(),
+    st.integers(-3, 6).map(np.int64),
+    st.integers(-3, 6).map(str),
+    st.sampled_from([1.5, 2.0, 10**400, -(10**400)]),
+)
+ASCENDING_IDS = st.lists(st.integers(-3, 2**70), unique=True, max_size=6).map(sorted)
+SAMPLES = st.one_of(
+    ASCENDING_IDS.flatmap(
+        lambda ids: st.tuples(*[st.tuples(st.just(i), NUMBERS) for i in ids])
+    ),
+    ASCENDING_IDS.flatmap(
+        lambda ids: st.tuples(*[st.tuples(st.just(i), st.floats(-1.0, 1.0)).map(list) for i in ids])
+    ),
+    st.lists(st.tuples(IDS, NUMBERS), max_size=6).map(tuple),
+    st.lists(st.tuples(IDS, NUMBERS), max_size=6),
+    st.lists(st.lists(NUMBERS, min_size=1, max_size=3).map(tuple), max_size=3).map(tuple),
+)
+PERIODS = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from(EDGE_NUMBERS + [-1e-3, 0, 1, "0.01", True, None]),
+    st.floats(),
+)
+
+
+# the stagger-cancelling epoch of test_huge_toas_whose_stagger_cancels_are_accepted
+@example(samples=((1, 0.0), (2, 1e300), (3, 2e300)), schedule_period_s=1e300)
+@example(samples=((1, 1e-8), (2, 1e300), (3, 3e-8), (4, 4e-8)), schedule_period_s=0.0)
+@example(samples=((1, 1e-8), (3, 3e-8), (10**400, 2e-8)), schedule_period_s=0.0)
+@example(samples=((2**70, 1e-8), (2**70 + 1, 2e-8)), schedule_period_s=1e299)
+@example(samples=((True, 1e-8), (2, 2e-8)), schedule_period_s=0.0)
+@example(samples=((3, 1e-8), (2, 2e-8), (3, 1e-8)), schedule_period_s=0.01)
+@example(samples=([1, 1e-8], [2, 2e-8]), schedule_period_s=0.0)
+@settings(max_examples=300)
+@given(samples=SAMPLES, schedule_period_s=PERIODS)
+def test_common_epoch_check_agrees_with_the_full_rule(samples, schedule_period_s):
+    built = outcome(lambda: MeasurementSet(7, samples, schedule_period_s))
+    assert built == outcome(lambda: fully_checked(MeasurementSet, 7, samples, schedule_period_s))
+
+
+@given(station_id=IDS, bias=NUMBERS)
+def test_common_link_check_agrees_with_the_full_rule(station_id, bias):
+    built = outcome(lambda: LinkState(station_id, bias))
+    assert built == outcome(lambda: fully_checked(LinkState, station_id, bias))
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_emulated_epochs_take_the_common_case(preset, monkeypatch):
+    def full_check(self):
+        pytest.fail(f"{type(self).__name__} took the full check")
+
+    cfg = get_preset(preset)
+    monkeypatch.setattr(MeasurementSet, "_check", full_check)
+    monkeypatch.setattr(LinkState, "_check", full_check)
+    for t in range(cfg.trials_per_poi):
+        mset, links = harness.emulate_trial_measurements(cfg, t % len(cfg.pois), t)
+        assert len(mset.samples) == len(links) == len(cfg.stations)
 
 
 # --- noise model --------------------------------------------------------------
@@ -298,6 +392,22 @@ def test_matched_filter_recovers_single_toa():
     tau = 1.37e-7
     wf = synthesize_received_waveform([MultipathComponent(1.0, tau)], band, fs, 0.0)
     assert estimate_toa_from_waveform(wf, band) == pytest.approx(tau, abs=0.5 / fs)
+
+
+def test_matched_filter_peak_is_sub_sample():
+    # arrivals between grid times: the grid peak alone is off by up to half
+    # a sample, the vertex of the parabola through it and its neighbours by
+    # under 1% of one
+    band = make_band()
+    fs = 8 * band.bandwidth_hz
+    T = symbol_period_s(band)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        tau = 1e-7 + rng.uniform(0.0, 1.0 / fs)
+        wf = synthesize_received_waveform(
+            [MultipathComponent(1.0, tau)], band, fs, 0.0, span_s=(1e-7 - 8 * T, 1e-7 + 8 * T)
+        )
+        assert abs(estimate_toa_from_waveform(wf, band) - tau) <= 0.01 / fs
 
 
 def test_matched_filter_tie_breaks_to_earliest():

@@ -9,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from irlspos import (
+    BaseStation,
     ConfigError,
     euclidean_distance,
     irls_position,
@@ -16,6 +17,7 @@ from irlspos import (
     summarize,
 )
 from irlspos import harness
+from irlspos.channel import emulate_measurement_set
 from irlspos.config import BiasModel
 from irlspos.geometry import check_station_layout
 from irlspos.harness import (
@@ -29,7 +31,7 @@ from irlspos.harness import (
     trial_rngs,
 )
 from irlspos.lsq import solve_single_reference
-from irlspos.presets import get_preset
+from irlspos.presets import corner_stations, get_preset, mmwave_profile
 from irlspos.tdoa import compute_tdoas
 from conftest import fingerprint
 
@@ -299,7 +301,26 @@ def test_summary_file_contents(tmp_path):
     assert "mean_error_m" in text and "p90_error_m" in text
 
 
-# sha256 of every export at the preset's default seed; any change to a draw,
+# the corner stations under ids that are neither contiguous nor given in order
+SHUFFLED_IDS = tuple(BaseStation(i, s.position) for i, s in zip((11, 2, 7, 5), corner_stations()))
+
+# small configs that take the emulation branches no hashed preset takes
+SMALL_CONFIGS = {
+    "height-difference": dict(height_difference_m=2.5, nlos_probability=0.3),
+    "noise-free": dict(noise_override_m=0.0, nlos_probability=0.3),
+    "noise-override": dict(noise_override_m=0.05, nlos_probability=0.3),
+    "fixed-bias": dict(nlos_probability=0.5, bias_model=BiasModel("fixed", 4.0)),
+    "shuffled-ids": dict(stations=SHUFFLED_IDS, schedule_period_s=0.004, nlos_probability=0.3),
+    "mmwave": dict(band=mmwave_profile(), nlos_probability=0.3),
+}
+
+
+def export_config(name):
+    """A preset, or a small config of ``SMALL_CONFIGS``, by name."""
+    return small_config(**SMALL_CONFIGS[name]) if name in SMALL_CONFIGS else get_preset(name)
+
+
+# sha256 of every export at the config's default seed; any change to a draw,
 # a solve, a weight or a format shows here
 EXPORT_SHA256 = {
     "static_cband": {
@@ -314,14 +335,74 @@ EXPORT_SHA256 = {
         "cdf_ls.csv": "ec40b6f9257d3a4d5620ce51dd9ebb19315ef2e89c09765770549da603b82785",
         "cdf_irls.csv": "17a982db9b7337e331116fd4c4e802058eb3b9ad816ba04c29a50879ee7bd075",
     },
+    "height-difference": {
+        "trials.csv": "bed908a0b8a41073b75169c09d8d726a64e07e8fab3b0181b0d5a05eaead093b",
+        "summary.txt": "ae7eae0c084d1f3a0dd8f288f25fee0aeb6f81b6ea88ab1844266bd50c492f47",
+        "cdf_ls.csv": "e35f80001ea608e68823bde2037fee2dbc93ea108eb337f879cdffa01a6384cd",
+        "cdf_irls.csv": "b7ddfa924d23f0f2eb52856d8e32957bcbbdab3b9399a3e5bc1697c6c1f72283",
+    },
+    "noise-free": {
+        "trials.csv": "a058131f098f38bee273f0d75c16940c4183242b4788358e6dbdba74243762af",
+        "summary.txt": "c8d181287232fcb4972ec3951cd753984d94e5e5ce0acf9a7b520d7d26f52320",
+        "cdf_ls.csv": "9b55bc4d4392f72059368a225758cb6d07c936bdbe659e19d3b4de14028e4c67",
+        "cdf_irls.csv": "fa3212f1cc9867b454c2fd9ce8827d78b93cdf2f9f92bfab37ef8e5dda3e9cfa",
+    },
+    "noise-override": {
+        "trials.csv": "b59cb7f361baed501fa3134f538f518f71c48550c25ae210723f7a028f372aac",
+        "summary.txt": "ad287ab8ee061125ddec84d6df325fbc0fc028ec3d3551f88877ee975cb55f27",
+        "cdf_ls.csv": "6791fcfe02e669e3729da333de3c53575f5a36b6cfd5a9ca2a79b68eec10f60e",
+        "cdf_irls.csv": "36c0005e7cd853536ed9b33ce795be235b18912af6cea7a8c0ead5b7ad725e18",
+    },
+    "fixed-bias": {
+        "trials.csv": "b710bcca7241dcfd2b087383a6fee526dc823e15b33886854198d9de927753c6",
+        "summary.txt": "c34f7210f17a63928c27210bb830f10c05054b66e083b9517514ca1e42578585",
+        "cdf_ls.csv": "77581cbc68fc5a5102c6cc036a51b0c6b98ca162ba8fc2826f0e25175c5d92e3",
+        "cdf_irls.csv": "d9141cdc111f7d2261167e93250b3adf5f6e46cdd884e85401e9a70cde90bd9d",
+    },
+    "shuffled-ids": {
+        "trials.csv": "e563d9743418fdf5fdd3ed477ab5b326f7bcd8998eb7f20097ad7a2ca28703b7",
+        "summary.txt": "8cf3e5649a0db82b133fc9e17b7dced0506f12b5c98f1f6b75bb3cbecddf9079",
+        "cdf_ls.csv": "c855d84285ad9399e139ba7a3f2597300328c1c2059d9229950e35adb411b759",
+        "cdf_irls.csv": "1c34ec9183b40289ff5d3e217288f7c532bdbfbc2d655956e9535a410f4870ad",
+    },
+    "mmwave": {
+        "trials.csv": "70d4a61410b95c75664708970bb5117c84ea76092ece94ea711a08e26d38d23c",
+        "summary.txt": "ffb2322ba58820aa201b9069cb99355c17d9508a7e46164517091eb005cc9c96",
+        "cdf_ls.csv": "8f2363980d0086912f155f61e8ba63255aa75a538e8410fb9f72ef362896a54d",
+        "cdf_irls.csv": "2f3595d521e1d425eb9c9ab3653e0365a5e4ae1ea4aa20d87f04e74f579c6b16",
+    },
 }
 
 
 @pytest.mark.parametrize("preset", sorted(EXPORT_SHA256))
 def test_default_seed_exports_are_pinned(preset, tmp_path):
-    paths = export_results(run_batch(get_preset(preset)), tmp_path)
+    paths = export_results(run_batch(export_config(preset)), tmp_path)
     hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
     assert hashes == EXPORT_SHA256[preset]
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_CONFIGS))
+def test_trial_emulation_is_the_channel_emulator(name):
+    # one ToA formula: a trial's epoch is what emulate_measurement_set makes
+    # from the trial's links and noise generator
+    cfg = export_config(name)
+    for p in range(len(cfg.pois)):
+        for t in range(cfg.trials_per_poi):
+            mset, links = emulate_trial_measurements(cfg, p, t)
+            _, noise_rng = trial_rngs(cfg.root_seed, p, t)
+            expected = emulate_measurement_set(
+                cfg.pois[p],
+                cfg.stations,
+                links,
+                cfg.band,
+                noise_rng,
+                schedule_period_s=cfg.schedule_period_s,
+                noise_std_m=cfg.noise_override_m,
+                height_difference_m=cfg.height_difference_m,
+                epoch_id=t,
+            )
+            assert fingerprint(mset) == fingerprint(expected)
+            assert mset == expected
 
 
 # semidynamic_cband at its default seed: 374 of its 1,150 trials reject every

@@ -561,6 +561,23 @@ def test_outlier_free_consistency_100_positions(case):
     assert euclidean_distance(est.position, ue) < 1e-6
 
 
+# A drawn case of the property above. With three stations the two range
+# differences can have two exact roots (Fang, IEEE Trans. AES, 1990): every
+# candidate converges, to within 1e-12 m of residual, to the second root
+# (1.5759, 2.5), outside the stations' convex hull, so the fix misses by 0.576 m
+@pytest.mark.xfail(strict=True, reason="N = 3 range differences have a second exact root")
+def test_three_station_fix_with_a_second_exact_root_is_recovered():
+    stations = [
+        BaseStation(1, Position2D(1.0, 2.0)),
+        BaseStation(2, Position2D(0.0, 0.0)),
+        BaseStation(3, Position2D(1.0, 3.0)),
+    ]
+    ue = Position2D(1.0, 2.5)
+    est = irls_position(exact_measurements(ue, stations, cband_profile()), stations)
+    assert all(c.converged for c in est.candidates)
+    assert euclidean_distance(est.position, ue) < 1e-6
+
+
 def test_settings_validation():
     with pytest.raises(ValueError, match="u_max"):
         IrlsSettings(u_max_m=0.0)

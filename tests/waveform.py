@@ -146,10 +146,14 @@ def _pulse_template(band: BandProfile, sample_rate_hz: float, rolloff: float) ->
 def estimate_toa_from_waveform(
     waveform: SampledWaveform, band: BandProfile, rolloff: float = ROLLOFF
 ) -> float:
-    """ToA estimate: grid time of the peak absolute matched-filter output.
+    """ToA estimate: time of the peak absolute matched-filter output, to a
+    fraction of a sample.
 
-    Exact ties break to the earliest grid time, matching first-arrival
-    semantics.
+    The peak sample is the largest absolute output; exact ties break to the
+    earliest grid time, matching first-arrival semantics. The vertex of the
+    parabola through the peak sample and its two neighbours then moves the
+    estimate by at most half a sample; a peak on the grid's edge, or with no
+    downward curvature, stays on its grid time.
     """
     x = waveform.samples
     if x.size == 0:
@@ -157,8 +161,15 @@ def estimate_toa_from_waveform(
     if not np.any(x):
         raise ValueError("degenerate waveform: all samples are zero")
     template = _pulse_template(band, waveform.sample_rate_hz, rolloff)
-    matched = signal.correlate(x, template, mode="same")
-    return float(waveform.times_s[int(np.argmax(np.abs(matched)))])
+    matched = np.abs(signal.correlate(x, template, mode="same"))
+    k = int(np.argmax(matched))
+    peak_time = float(waveform.times_s[k])
+    if 0 < k < matched.size - 1:
+        before, peak, after = (float(v) for v in matched[k - 1 : k + 2])
+        curvature = before - 2.0 * peak + after
+        if curvature < 0.0:
+            peak_time += 0.5 * (before - after) / curvature / waveform.sample_rate_hz
+    return peak_time
 
 
 def waveform_noise_std(
