@@ -17,8 +17,10 @@ block in one array pass (:func:`block_trial_rngs`). The pass repeats
 ``SeedSequence``'s hash on uint32 lanes, one lane per child: the root
 seed's words mixed into the 4-word pool, then the key words (poi, trial, i),
 then ``generate_state(4, uint64)``. Each key word must fit in 32 bits, which
-``ScenarioConfig`` checks. Each trial still gets two fresh generators of its
-own, in the same states as ``trial_rngs`` gives.
+``ScenarioConfig`` checks. A trial gets fresh generators of its own, in the
+same states as ``trial_rngs`` gives, but only those whose draws can change
+its epoch: no link/bias generator when ``nlos_probability`` is 0, since no
+draw can flip a link (:func:`_draws_links`).
 
 Both methods consume the identical measurement set per trial: the robust
 method rotates references and reweights, and LS is its candidate for the
@@ -169,23 +171,36 @@ class _SeedWords(ISeedSequence):
 
 
 def block_trial_rngs(
-    root_seed: int, keys: Sequence[tuple[int, int]]
-) -> Iterator[tuple[np.random.Generator, np.random.Generator]]:
+    root_seed: int, keys: Sequence[tuple[int, int]], link: bool = True
+) -> Iterator[tuple[np.random.Generator | None, np.random.Generator]]:
     """For each (poi_index, trial_index) of ``keys``, in order, fresh
     generators in the states ``trial_rngs`` gives, seeded by one array pass.
-    Every key must be below 2**32."""
+    With ``link`` false the link/bias generator is not built and comes as
+    None. Every key must be below 2**32."""
     words = _seed_words(root_seed, np.array(keys, dtype=np.uint32).reshape(-1, 2))
     for link_words, noise_words in words:
         yield (
-            np.random.default_rng(_SeedWords(link_words)),
+            np.random.default_rng(_SeedWords(link_words)) if link else None,
             np.random.default_rng(_SeedWords(noise_words)),
         )
 
 
-def draw_link_states(cfg: ScenarioConfig, rng: np.random.Generator) -> list[LinkState]:
+def _draws_links(cfg: ScenarioConfig) -> bool:
+    """Whether a trial's link/bias draws can change its epoch: with
+    ``nlos_probability`` 0 no ``random()`` in [0, 1) flips a link."""
+    return cfg.nlos_probability > 0.0
+
+
+def draw_link_states(
+    cfg: ScenarioConfig, rng: np.random.Generator | None
+) -> list[LinkState]:
     """Per-station Bernoulli NLoS flips and bias draws, ascending id order.
-    A LoS link is the config's shared, frozen LoS state of its station."""
+    A LoS link is the config's shared, frozen LoS state of its station.
+    With ``nlos_probability`` 0 no draw can flip a link, so ``rng`` is not
+    used and may be None."""
     ids, los_links = cfg.emulation[:2]
+    if not _draws_links(cfg):
+        return list(los_links)
     links = []
     for sid, los in zip(ids, los_links):
         if rng.random() < cfg.nlos_probability:
@@ -199,13 +214,14 @@ def emulate_trial_measurements(
     cfg: ScenarioConfig,
     poi_index: int,
     trial_index: int,
-    rngs: tuple[np.random.Generator, np.random.Generator] | None = None,
+    rngs: tuple[np.random.Generator | None, np.random.Generator] | None = None,
 ) -> tuple[MeasurementSet, list[LinkState]]:
     """The measurement set both methods consume for one (PoI, trial).
     ``rngs`` are the trial's fresh (link/bias, noise) generators, by default
-    those of :func:`trial_rngs`. The epoch is what
-    :func:`~irlspos.channel.emulate_measurement_set` makes from the same
-    generators, built from the config's ``emulation`` constants."""
+    those of :func:`trial_rngs`. The link/bias one is not used and may be
+    None when ``nlos_probability`` is 0 (:func:`draw_link_states`). The
+    epoch is what :func:`~irlspos.channel.emulate_measurement_set` makes from
+    the same generators, built from the config's ``emulation`` constants."""
     if rngs is None:
         rngs = trial_rngs(cfg.root_seed, poi_index, trial_index)
     link_rng, noise_rng = rngs
@@ -225,14 +241,17 @@ def run_batch(cfg: ScenarioConfig) -> TrialBatch:
     batch aborts; the batch counts degenerate trials and non-converged
     candidates from the estimates it already holds. Deterministic given the
     config and root seed: trials run PoI by PoI, and each block of
-    ``SEED_BLOCK_TRIALS`` of them is seeded in one pass.
+    ``SEED_BLOCK_TRIALS`` of them is seeded in one pass, building a link/bias
+    generator only when its draws can change an epoch.
     """
     layout = check_station_layout(cfg.stations)
+    link = _draws_links(cfg)
     records: list[TrialRecord] = []
     degenerate = nonconverged = 0
     pairs = itertools.product(range(len(cfg.pois)), range(cfg.trials_per_poi))
     while block := list(itertools.islice(pairs, SEED_BLOCK_TRIALS)):
-        for (poi_index, trial_index), rngs in zip(block, block_trial_rngs(cfg.root_seed, block)):
+        rngs_of = block_trial_rngs(cfg.root_seed, block, link)
+        for (poi_index, trial_index), rngs in zip(block, rngs_of):
             poi = cfg.pois[poi_index]
             mset, _ = emulate_trial_measurements(cfg, poi_index, trial_index, rngs=rngs)
             estimate = irls_position(mset, layout, cfg.solver, cfg.irls)
@@ -266,25 +285,25 @@ def run_batch(cfg: ScenarioConfig) -> TrialBatch:
     )
 
 
-def summarize(batch: TrialBatch) -> dict[str, MethodSummary]:
-    """Mean and 90th-percentile error per method."""
+def _summaries(batch: TrialBatch, errors: dict[str, np.ndarray]) -> dict[str, MethodSummary]:
+    """Mean and 90th-percentile error per method with any errors, from each
+    method's errors in record order."""
     if not batch.per_trial:
         raise ValueError("cannot summarize an empty batch")
-    out = {}
-    for method in METHODS:
-        errors = batch.errors(method)
-        if errors.size == 0:
-            continue
-        out[method] = MethodSummary(
-            n_trials=int(errors.size),
-            mean_error_m=float(errors.mean()),
-            p90_error_m=float(np.percentile(errors, P90_QUANTILE)),
+    return {
+        method: MethodSummary(
+            n_trials=int(column.size),
+            mean_error_m=float(column.mean()),
+            p90_error_m=float(np.percentile(column, P90_QUANTILE)),
         )
-    return out
+        for method, column in errors.items()
+        if column.size
+    }
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".9g")
+def summarize(batch: TrialBatch) -> dict[str, MethodSummary]:
+    """Mean and 90th-percentile error per method."""
+    return _summaries(batch, {method: batch.errors(method) for method in METHODS})
 
 
 def export_results(batch: TrialBatch, out_dir: str | Path) -> list[Path]:
@@ -292,7 +311,8 @@ def export_results(batch: TrialBatch, out_dir: str | Path) -> list[Path]:
 
     Formats are pinned for byte determinism: floats carry 9 significant
     digits, rows follow the deterministic record order, rejected station
-    ids are ';'-joined inside their CSV field.
+    ids are ';'-joined inside their CSV field. One pass over the records
+    formats each error once, for its trials row and its CDF row.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -300,15 +320,21 @@ def export_results(batch: TrialBatch, out_dir: str | Path) -> list[Path]:
 
     trials_path = out / "trials.csv"
     lines = ["poi_index,trial_index,method,error_2d_m,rejected_stations"]
+    # per method: its errors and their texts, in record order
+    columns: dict[str, tuple[list[float], list[str]]] = {method: ([], []) for method in METHODS}
     for t in batch.per_trial:
-        rejected = ";".join(str(sid) for sid in t.rejected_stations)
-        lines.append(
-            f"{t.poi_index},{t.trial_index},{t.method},{_fmt(t.error_2d_m)},{rejected}"
-        )
+        text = f"{t.error_2d_m:.9g}"
+        rejected = ";".join(map(str, t.rejected_stations))
+        lines.append(f"{t.poi_index},{t.trial_index},{t.method},{text},{rejected}")
+        if t.method in columns:
+            errors, texts = columns[t.method]
+            errors.append(t.error_2d_m)
+            texts.append(text)
     trials_path.write_text("\n".join(lines) + "\n")
     written.append(trials_path)
 
-    summary = summarize(batch)
+    arrays = {method: np.array(errors) for method, (errors, _) in columns.items()}
+    summary = _summaries(batch, arrays)
     summary_path = out / "summary.txt"
     slines = [
         f"config: {batch.config_name}",
@@ -324,22 +350,26 @@ def export_results(batch: TrialBatch, out_dir: str | Path) -> list[Path]:
         slines += [
             f"method: {method}",
             f"  trials: {s.n_trials}",
-            f"  mean_error_m: {_fmt(s.mean_error_m)}",
-            f"  p90_error_m: {_fmt(s.p90_error_m)}",
+            f"  mean_error_m: {s.mean_error_m:.9g}",
+            f"  p90_error_m: {s.p90_error_m:.9g}",
         ]
     summary_path.write_text("\n".join(slines) + "\n")
     written.append(summary_path)
 
+    # the probability column of each distinct method size, formatted once
+    probabilities: dict[int, list[str]] = {}
     for method in METHODS:
-        errors = np.sort(batch.errors(method))
-        if errors.size == 0:
+        n = arrays[method].size
+        if n == 0:
             continue
+        if n not in probabilities:
+            probabilities[n] = [f"{(k + 1) / n:.9g}" for k in range(n)]
+        texts = columns[method][1]
         cdf_path = out / f"cdf_{method.lower()}.csv"
         rows = ["error_m,cumulative_probability"]
-        n = errors.size
-        rows += [
-            f"{_fmt(float(err))},{_fmt((i + 1) / n)}" for i, err in enumerate(errors)
-        ]
+        # ascending error, NaN last, as np.sort orders them
+        order = np.argsort(arrays[method], kind="stable").tolist()
+        rows += [f"{texts[i]},{p}" for i, p in zip(order, probabilities[n])]
         cdf_path.write_text("\n".join(rows) + "\n")
         written.append(cdf_path)
     return written

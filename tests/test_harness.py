@@ -1,6 +1,8 @@
 """Monte-Carlo driver: determinism, fairness, summaries, and exports."""
 
 import hashlib
+import multiprocessing
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -17,12 +19,14 @@ from irlspos import (
     summarize,
 )
 from irlspos import harness
-from irlspos.channel import emulate_measurement_set
+from irlspos.channel import LinkState, emulate_measurement_set
 from irlspos.config import BiasModel
 from irlspos.geometry import check_station_layout
 from irlspos.harness import (
     METHOD_IRLS,
     METHOD_LS,
+    METHODS,
+    MethodSummary,
     TrialBatch,
     TrialRecord,
     block_trial_rngs,
@@ -33,7 +37,7 @@ from irlspos.harness import (
 from irlspos.lsq import solve_single_reference
 from irlspos.presets import corner_stations, get_preset, mmwave_profile
 from irlspos.tdoa import compute_tdoas
-from conftest import fingerprint
+from conftest import fingerprint, fixes
 
 
 def small_config(**overrides):
@@ -129,17 +133,31 @@ def test_block_generators_are_fresh_per_trial():
     assert first.random() == repeat.random()
 
 
-@pytest.mark.parametrize("block_trials", [1, 3, harness.SEED_BLOCK_TRIALS])
-def test_run_batch_emulates_the_trial_rngs_epochs(block_trials, monkeypatch):
+# (nlos_probability, generators built per trial): a trial builds its
+# link/bias generator only when its draws can change the epoch
+GENERATOR_RULES = {"": (0.5, 2), "-all-los": (0.0, 1)}
+
+
+@pytest.mark.parametrize(
+    "block_trials,rule",
+    [
+        pytest.param(block_trials, rule, id=f"{block_trials}{suffix}")
+        for block_trials in (1, 3, harness.SEED_BLOCK_TRIALS)
+        for suffix, rule in GENERATOR_RULES.items()
+    ],
+)
+def test_run_batch_emulates_the_trial_rngs_epochs(block_trials, rule, monkeypatch):
     # blocks of 3 cross PoI boundaries; the default size takes two blocks
+    nlos_probability, generators = rule
     cfg = small_config(
-        nlos_probability=0.5,
+        nlos_probability=nlos_probability,
         bias_model=BiasModel(kind="exponential", value_m=3.0),
         pois=get_preset("static_cband").pois[:2],
         trials_per_poi=max(4, block_trials // 2 + 1),
     )
     emulate = harness.emulate_trial_measurements
     seen = []
+    built = []
 
     def recording(cfg, poi_index, trial_index, rngs=None):
         assert rngs is not None
@@ -147,14 +165,62 @@ def test_run_batch_emulates_the_trial_rngs_epochs(block_trials, monkeypatch):
         seen.append(((poi_index, trial_index), out))
         return out
 
+    def counting(*args, **kwargs):
+        built.append(args)
+        return default_rng(*args, **kwargs)
+
+    default_rng = np.random.default_rng
     monkeypatch.setattr(harness, "SEED_BLOCK_TRIALS", block_trials)
     monkeypatch.setattr(harness, "emulate_trial_measurements", recording)
+    monkeypatch.setattr(np.random, "default_rng", counting)
     run_batch(cfg)
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
     keys = [(p, t) for p in range(len(cfg.pois)) for t in range(cfg.trials_per_poi)]
     assert [key for key, _ in seen] == keys
-    assert any(ln.nlos_bias_m > 0 for _, (_, links) in seen for ln in links)
+    assert len(built) == generators * len(keys)
+    biased = [ln.nlos_bias_m > 0 for _, (_, links) in seen for ln in links]
+    assert any(biased) == (nlos_probability > 0)
     for key, (mset, links) in seen:
         assert (mset, links) == emulate(cfg, *key)
+
+
+# an all-LoS epoch must not depend on whether the link stream is drawn: the
+# oracle builds both of the trial's generators and makes one link draw per
+# station, tested against p and thrown away
+@given(fix=fixes(), root_seed=st.integers(0, 2**64 - 1), trials=st.integers(1, 3))
+def test_all_los_epochs_match_drawing_and_discarding_the_link_stream(fix, root_seed, trials):
+    stations, ue, _ = fix
+    cfg = replace(
+        small_config(),
+        stations=tuple(stations),
+        pois=(ue,),
+        root_seed=root_seed,
+        trials_per_poi=trials,
+    )
+    assert cfg.nlos_probability == 0.0
+    seen = []
+    emulate = harness.emulate_trial_measurements
+
+    def recording(cfg, poi_index, trial_index, rngs=None):
+        out = emulate(cfg, poi_index, trial_index, rngs=rngs)
+        seen.append(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "emulate_trial_measurements", recording)
+        run_batch(cfg)
+    assert len(seen) == trials
+    los = [LinkState(s.id) for s in sorted(stations, key=lambda s: s.id)]
+    for t, (mset, links) in enumerate(seen):
+        link_rng, noise_rng = trial_rngs(root_seed, 0, t)
+        assert not any(link_rng.random() < cfg.nlos_probability for _ in stations)
+        expected = emulate_measurement_set(
+            ue, stations, los, cfg.band, noise_rng,
+            schedule_period_s=cfg.schedule_period_s, epoch_id=t,
+        )
+        assert links == los
+        assert fingerprint(mset) == fingerprint(expected)
+        assert mset == expected
 
 
 def test_emulation_draws_from_the_generators_it_is_given():
@@ -381,6 +447,125 @@ def test_default_seed_exports_are_pinned(preset, tmp_path):
     assert hashes == EXPORT_SHA256[preset]
 
 
+# hand-built batches that take export branches no preset run takes
+HAND_BUILT_BATCHES = {
+    # no LS record: no LS summary section and no cdf_ls.csv
+    "irls-only": TrialBatch(
+        "irls-only",
+        7,
+        (
+            TrialRecord(0, 0, METHOD_IRLS, 0.25),
+            TrialRecord(0, 1, METHOD_IRLS, 1.5, (3,)),
+            TrialRecord(1, 0, METHOD_IRLS, 0.125),
+            TrialRecord(1, 1, METHOD_IRLS, 12.0625, (1, 2, 4)),
+        ),
+        degenerate_trials=1,
+    ),
+    # rejected sets of several ids, written in the order the record holds them
+    "multi-id-rejected": TrialBatch(
+        "multi-id-rejected",
+        3,
+        (
+            TrialRecord(0, 0, METHOD_LS, 2.5),
+            TrialRecord(0, 0, METHOD_IRLS, 0.75, (1, 3, 4)),
+            TrialRecord(0, 1, METHOD_LS, 0.5),
+            TrialRecord(0, 1, METHOD_IRLS, 0.625, (11, 2, 7, 5)),
+            TrialRecord(1, 0, METHOD_LS, 4.0),
+            TrialRecord(1, 0, METHOD_IRLS, 3.0, (2,)),
+            TrialRecord(1, 1, METHOD_LS, 1.0),
+            TrialRecord(1, 1, METHOD_IRLS, 9.0, (1, 2, 3, 4, 5, 6, 7, 8)),
+        ),
+        degenerate_trials=1,
+        nonconverged_candidates=3,
+    ),
+    # equal errors, and errors that differ past the 9th digit, in both methods
+    "tied-errors": TrialBatch(
+        "tied-errors",
+        0,
+        tuple(
+            TrialRecord(0, t, method, error)
+            for t, pair in enumerate(
+                [
+                    (1.0, 1.0),
+                    (0.5, 1.0000000001),
+                    (1.0, 0.5),
+                    (1.0000000001, 0.9999999999),
+                    (0.5, 1.0),
+                    (2.0, 0.0),
+                    (0.0, 0.0),
+                    (1.0, 2.0),
+                ]
+            )
+            for method, error in zip(METHODS, pair)
+        ),
+    ),
+    # PoI and trial indices with gaps, not in ascending order
+    "sparse-trials": TrialBatch(
+        "sparse-trials",
+        2**64 - 1,
+        (
+            TrialRecord(3, 17, METHOD_LS, 0.3),
+            TrialRecord(3, 17, METHOD_IRLS, 0.2),
+            TrialRecord(0, 5, METHOD_LS, 1.7),
+            TrialRecord(0, 5, METHOD_IRLS, 1.1, (4,)),
+            TrialRecord(22, 2**32 - 1, METHOD_LS, 123456.789),
+            TrialRecord(22, 2**32 - 1, METHOD_IRLS, 1e-12),
+            TrialRecord(3, 2, METHOD_LS, 7.25),
+            TrialRecord(3, 2, METHOD_IRLS, 6.5),
+        ),
+    ),
+}
+
+# recorded from the export that scanned the records once per file
+HAND_BUILT_SHA256 = {
+    "irls-only": {
+        "trials.csv": "86d67006a694388107a75851c24a6102d7e5f8e231930bb28bb0afc9f0a47a9f",
+        "summary.txt": "cf3b118a31f9853307ec79ecf6267ceb1245e99bb9f5da94382b4b7e3f3a4910",
+        "cdf_irls.csv": "9499533969b1c20c9bb5b914a7c2e99453bde5305ffc9f3ecfc12a0022a92200",
+    },
+    "multi-id-rejected": {
+        "trials.csv": "4332d9beb8cc16bbd713f2c655c249aec25aade832b6e73cd6a7e937e06ec8a0",
+        "summary.txt": "aa82ad036a5a96c519d3f287a1491dc342e39150840dccf7e572b63e888a2427",
+        "cdf_ls.csv": "39219b94ea3cebcb7920b650a0e6434b8b890d4c26710e049e591de19741e99a",
+        "cdf_irls.csv": "ea3b35b9805eac389669823ec9f62365ddf7a5c2869de84423dca32b36f344df",
+    },
+    "tied-errors": {
+        "trials.csv": "f633e05e67bb831d7bf19a6641c5e9d904a328faf3baf3d86e516f04b1a36cc9",
+        "summary.txt": "e507798c68971e3f2afebcd79850bfd10fec1d99dda9e14b2e4ef991064b54c8",
+        "cdf_ls.csv": "eab25b26aaf72918fb528784be1811cdde05ad7b03016a2cb1194956b1021426",
+        "cdf_irls.csv": "72af9aec448aa517aea2c7206254a15a8582d3a0af87a517e8d5cbf5064ffdad",
+    },
+    "sparse-trials": {
+        "trials.csv": "d9fa209ccb36cbb4ca42f83ea2a157949cb281313fefb35d2a0e5ed5c9fd3505",
+        "summary.txt": "aebb638567fdc8397227afcb06e33e18d07edbde5b493a3a3671dd3771b06045",
+        "cdf_ls.csv": "f322b5790dba815c2588e1ec1b01a7c84604828f07a5092a2f26df9d518a37dc",
+        "cdf_irls.csv": "224937b4332dfc221357accc18184e16553cb498a05ff5748e318cbadb1ac419",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT_BATCHES))
+def test_hand_built_exports_are_pinned(name, tmp_path):
+    paths = export_results(HAND_BUILT_BATCHES[name], tmp_path)
+    hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+    assert hashes == HAND_BUILT_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT_BATCHES))
+def test_hand_built_summaries(name):
+    # each method's errors, scanned on their own, in record order
+    batch = HAND_BUILT_BATCHES[name]
+    expected = {}
+    for method in METHODS:
+        errors = np.array([t.error_2d_m for t in batch.per_trial if t.method == method])
+        if errors.size:
+            expected[method] = MethodSummary(
+                errors.size, float(np.mean(errors)), float(np.percentile(errors, 90.0))
+            )
+    assert summarize(batch) == expected
+    assert list(summarize(batch)) == list(expected)
+
+
 @pytest.mark.parametrize("name", sorted(SMALL_CONFIGS))
 def test_trial_emulation_is_the_channel_emulator(name):
     # one ToA formula: a trial's epoch is what emulate_measurement_set makes
@@ -440,6 +625,29 @@ def test_run_diagnostics_count_the_estimates():
     assert batch.nonconverged_candidates == sum(
         not c.converged for e in estimates for c in e.candidates
     )
+
+
+# --- output contract ------------------------------------------------------------
+
+# a caller such as perfbench/run.py prints its result as the last stdout line
+# and counts on no worker outliving a call, so a batch, its export and a fix
+# print nothing, warn nothing (a warning goes to stderr), and start no thread
+# or process
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("nlos_probability", [0.0, 0.3], ids=["all-los", "nlos"])
+def test_batch_export_and_fix_write_nothing_and_leave_no_workers(
+    nlos_probability, capfd, tmp_path
+):
+    threads = threading.active_count()
+    children = multiprocessing.active_children()
+    cfg = small_config(nlos_probability=nlos_probability)
+    batch = run_batch(cfg)
+    export_results(batch, tmp_path)
+    mset, _ = emulate_trial_measurements(cfg, 0, 0)
+    irls_position(mset, cfg.stations, cfg.solver, cfg.irls)
+    assert capfd.readouterr() == ("", "")
+    assert threading.active_count() == threads
+    assert multiprocessing.active_children() == children
 
 
 # --- directional behavior (reduced-size; full scale in the acceptance suite) -----
