@@ -31,7 +31,6 @@ from .geometry import (
     BaseStation,
     Position2D,
     euclidean_distance,
-    true_first_toa,
 )
 from .irls import (
     IrlsSettings,
@@ -80,7 +79,6 @@ __all__ = [
     "run_batch",
     "summarize",
     "toa_noise_std",
-    "true_first_toa",
     "weighted_average",
 ]
 

@@ -78,12 +78,6 @@ class LinkState:
     nlos_bias_m: float = 0.0
 
     def __post_init__(self) -> None:
-        # the common case, a finite float >= 0, passes the full check as it is
-        bias = self.nlos_bias_m
-        if not (bias.__class__ is float and 0.0 <= bias < math.inf):
-            self._check()
-
-    def _check(self) -> None:
         read_fields(self, as_number, "nlos_bias_m")
         if self.nlos_bias_m < 0:
             raise ConfigError(f"nlos_bias_m must be >= 0, got {self.nlos_bias_m!r}")

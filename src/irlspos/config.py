@@ -46,7 +46,6 @@ from typing import Any
 
 from .channel import (
     BandProfile,
-    LinkState,
     ranging_noise_m,
     station_ranges,
     transmit_staggers,
@@ -183,13 +182,12 @@ class ScenarioConfig:
     @cached_property
     def emulation(self) -> tuple:
         """What every trial's emulation shares, built at first use and kept
-        with the config: the ascending station ids, each station's LoS link
-        state, its transmit stagger in seconds, the ranging noise std in
-        meters, and per PoI the range to each station in id order."""
+        with the config: the ascending station ids, each station's transmit
+        stagger in seconds, the ranging noise std in meters, and per PoI the
+        range to each station in id order."""
         layout = check_station_layout(self.stations)
         return (
             layout.ids,
-            tuple(LinkState(sid) for sid in layout.ids),
             transmit_staggers(layout.ids, self.schedule_period_s),
             ranging_noise_m(self.band, self.noise_override_m),
             tuple(station_ranges(p, layout.coords, self.height_difference_m) for p in self.pois),

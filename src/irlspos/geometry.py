@@ -57,11 +57,6 @@ def euclidean_distance(a: Position2D, b: Position2D) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
 
-def true_first_toa(ue: Position2D, bs: BaseStation) -> float:
-    """Propagation time of the direct path from a station to the UE, in seconds."""
-    return euclidean_distance(ue, bs.position) / SPEED_OF_LIGHT_M_S
-
-
 def _is_finite(value: object) -> bool:
     try:
         return math.isfinite(value)

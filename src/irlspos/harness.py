@@ -10,17 +10,20 @@ draws therefore depend only on the root seed and trial coordinates, never on
 the band, so two configs that differ only in band parameters see identical
 outliers.
 
-numpy's ``SeedSequence`` stays the definition, and :func:`trial_rngs` builds
-one trial's generators with it. :func:`run_batch` takes its trials in blocks
-of ``SEED_BLOCK_TRIALS`` and computes every child's PCG64 seed words for a
-block in one array pass (:func:`block_trial_rngs`). The pass repeats
-``SeedSequence``'s hash on uint32 lanes, one lane per child: the root
-seed's words mixed into the 4-word pool, then the key words (poi, trial, i),
-then ``generate_state(4, uint64)``. Each key word must fit in 32 bits, which
-``ScenarioConfig`` checks. A trial gets fresh generators of its own, in the
-same states as ``trial_rngs`` gives, but only those whose draws can change
-its epoch: no link/bias generator when ``nlos_probability`` is 0, since no
-draw can flip a link (:func:`_draws_links`).
+numpy's ``SeedSequence`` stays the definition of those streams, and one
+seeding builds them for a lone trial and for a batch alike:
+:func:`block_trial_rngs` computes every child's PCG64 seed words for a list
+of trials in one array pass. The pass repeats ``SeedSequence``'s hash on
+uint32 lanes, one lane per child: the root seed's words mixed into the
+4-word pool, then the key words (poi, trial, i), then
+``generate_state(4, uint64)``. Each key word must fit in 32 bits, which
+``ScenarioConfig`` checks. :func:`run_batch` seeds its trials in blocks of
+``SEED_BLOCK_TRIALS``, and :func:`emulate_trial_measurements` seeds a lone
+trial as a block of one. Either way a trial gets fresh generators of its
+own, but only those whose draws can change its epoch: no link/bias
+generator when ``nlos_probability`` is 0, since no draw can flip a link
+(:func:`_draws_links`). A trial's NLoS biases are plain floats, 0.0 on a
+LoS link.
 
 Both methods consume the identical measurement set per trial: the robust
 method rotates references and reweights, and LS is its candidate for the
@@ -38,7 +41,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .channel import LinkState, MeasurementSet, arrival_samples
+from .channel import MeasurementSet, arrival_samples
 from .config import ScenarioConfig
 from .geometry import check_station_layout, euclidean_distance
 from .irls import irls_position
@@ -102,17 +105,6 @@ class TrialBatch:
         )
 
 
-def trial_rngs(
-    root_seed: int, poi_index: int, trial_index: int
-) -> tuple[np.random.Generator, np.random.Generator]:
-    """(link/bias generator, noise generator) for one trial: the children
-    ``spawn(2)`` would give of ``SeedSequence(root_seed, spawn_key=(poi_index,
-    trial_index))``, built directly from their spawn keys."""
-    link_ss = np.random.SeedSequence(root_seed, spawn_key=(poi_index, trial_index, 0))
-    noise_ss = np.random.SeedSequence(root_seed, spawn_key=(poi_index, trial_index, 1))
-    return np.random.default_rng(link_ss), np.random.default_rng(noise_ss)
-
-
 def _hash_constants(start: int, mult: int, steps: int) -> np.ndarray:
     """The hash constant before each of ``steps`` hash steps and after the
     last, shaped to broadcast over (step, trial, child) lanes."""
@@ -171,12 +163,13 @@ class _SeedWords(ISeedSequence):
 
 
 def block_trial_rngs(
-    root_seed: int, keys: Sequence[tuple[int, int]], link: bool = True
+    root_seed: int, keys: Sequence[tuple[int, int]], link: bool
 ) -> Iterator[tuple[np.random.Generator | None, np.random.Generator]]:
-    """For each (poi_index, trial_index) of ``keys``, in order, fresh
-    generators in the states ``trial_rngs`` gives, seeded by one array pass.
-    With ``link`` false the link/bias generator is not built and comes as
-    None. Every key must be below 2**32."""
+    """For each (poi_index, trial_index) of ``keys``, in order, the trial's
+    fresh (link/bias, noise) generators, in the states the children of
+    ``SeedSequence(root_seed, spawn_key=(poi_index, trial_index))`` give,
+    seeded by one array pass. With ``link`` false the link/bias generator
+    is not built and comes as None. Every key must be below 2**32."""
     words = _seed_words(root_seed, np.array(keys, dtype=np.uint32).reshape(-1, 2))
     for link_words, noise_words in words:
         yield (
@@ -191,47 +184,36 @@ def _draws_links(cfg: ScenarioConfig) -> bool:
     return cfg.nlos_probability > 0.0
 
 
-def draw_link_states(
-    cfg: ScenarioConfig, rng: np.random.Generator | None
-) -> list[LinkState]:
-    """Per-station Bernoulli NLoS flips and bias draws, ascending id order.
-    A LoS link is the config's shared, frozen LoS state of its station.
-    With ``nlos_probability`` 0 no draw can flip a link, so ``rng`` is not
-    used and may be None."""
-    ids, los_links = cfg.emulation[:2]
-    if not _draws_links(cfg):
-        return list(los_links)
-    links = []
-    for sid, los in zip(ids, los_links):
-        if rng.random() < cfg.nlos_probability:
-            links.append(LinkState(sid, cfg.bias_model.draw(rng)))
-        else:
-            links.append(los)
-    return links
-
-
 def emulate_trial_measurements(
     cfg: ScenarioConfig,
     poi_index: int,
     trial_index: int,
     rngs: tuple[np.random.Generator | None, np.random.Generator] | None = None,
-) -> tuple[MeasurementSet, list[LinkState]]:
-    """The measurement set both methods consume for one (PoI, trial).
+) -> tuple[MeasurementSet, list[float]]:
+    """The measurement set both methods consume for one (PoI, trial), and
+    each station's NLoS bias in meters, in ascending id order.
+
     ``rngs`` are the trial's fresh (link/bias, noise) generators, by default
-    those of :func:`trial_rngs`. The link/bias one is not used and may be
-    None when ``nlos_probability`` is 0 (:func:`draw_link_states`). The
-    epoch is what :func:`~irlspos.channel.emulate_measurement_set` makes from
-    the same generators, built from the config's ``emulation`` constants."""
+    those :func:`block_trial_rngs` builds for it alone, as a batch would.
+    Per station in id order, the link/bias generator draws one ``random()``
+    and, when that falls below ``nlos_probability``, one bias; a LoS link's
+    bias is 0.0. With ``nlos_probability`` 0 it draws nothing and may be
+    None. The epoch is what :func:`~irlspos.channel.emulate_measurement_set`
+    makes from the same noise generator, built from the config's
+    ``emulation`` constants."""
+    link = _draws_links(cfg)
     if rngs is None:
-        rngs = trial_rngs(cfg.root_seed, poi_index, trial_index)
+        rngs = next(block_trial_rngs(cfg.root_seed, [(poi_index, trial_index)], link))
     link_rng, noise_rng = rngs
-    ids, _, staggers, sigma_m, ranges = cfg.emulation
-    links = draw_link_states(cfg, link_rng)
+    ids, staggers, sigma_m, ranges = cfg.emulation
+    if link:
+        p, draw = cfg.nlos_probability, cfg.bias_model.draw
+        biases = [draw(link_rng) if link_rng.random() < p else 0.0 for _ in ids]
+    else:
+        biases = [0.0] * len(ids)
     noise = noise_rng.normal(0.0, sigma_m, len(ids)).tolist()
-    samples = arrival_samples(
-        ids, staggers, ranges[poi_index], [ln.nlos_bias_m for ln in links], noise
-    )
-    return MeasurementSet(trial_index, samples, cfg.schedule_period_s), links
+    samples = arrival_samples(ids, staggers, ranges[poi_index], biases, noise)
+    return MeasurementSet(trial_index, samples, cfg.schedule_period_s), biases
 
 
 def run_batch(cfg: ScenarioConfig) -> TrialBatch:
@@ -285,10 +267,10 @@ def run_batch(cfg: ScenarioConfig) -> TrialBatch:
     )
 
 
-def _summaries(batch: TrialBatch, errors: dict[str, np.ndarray]) -> dict[str, MethodSummary]:
+def _summaries(errors: dict[str, np.ndarray]) -> dict[str, MethodSummary]:
     """Mean and 90th-percentile error per method with any errors, from each
-    method's errors in record order."""
-    if not batch.per_trial:
+    method's errors in record order. A ValueError when no method has any."""
+    if not any(column.size for column in errors.values()):
         raise ValueError("cannot summarize an empty batch")
     return {
         method: MethodSummary(
@@ -303,7 +285,7 @@ def _summaries(batch: TrialBatch, errors: dict[str, np.ndarray]) -> dict[str, Me
 
 def summarize(batch: TrialBatch) -> dict[str, MethodSummary]:
     """Mean and 90th-percentile error per method."""
-    return _summaries(batch, {method: batch.errors(method) for method in METHODS})
+    return _summaries({method: batch.errors(method) for method in METHODS})
 
 
 def export_results(batch: TrialBatch, out_dir: str | Path) -> list[Path]:
@@ -312,13 +294,9 @@ def export_results(batch: TrialBatch, out_dir: str | Path) -> list[Path]:
     Formats are pinned for byte determinism: floats carry 9 significant
     digits, rows follow the deterministic record order, rejected station
     ids are ';'-joined inside their CSV field. One pass over the records
-    formats each error once, for its trials row and its CDF row.
+    formats each error once, for its trials row and its CDF row. A batch
+    with nothing to summarize raises before any file is written.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    trials_path = out / "trials.csv"
     lines = ["poi_index,trial_index,method,error_2d_m,rejected_stations"]
     # per method: its errors and their texts, in record order
     columns: dict[str, tuple[list[float], list[str]]] = {method: ([], []) for method in METHODS}
@@ -330,11 +308,17 @@ def export_results(batch: TrialBatch, out_dir: str | Path) -> list[Path]:
             errors, texts = columns[t.method]
             errors.append(t.error_2d_m)
             texts.append(text)
+    arrays = {method: np.array(errors) for method, (errors, _) in columns.items()}
+    summary = _summaries(arrays)
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+
+    trials_path = out / "trials.csv"
     trials_path.write_text("\n".join(lines) + "\n")
     written.append(trials_path)
 
-    arrays = {method: np.array(errors) for method, (errors, _) in columns.items()}
-    summary = _summaries(batch, arrays)
     summary_path = out / "summary.txt"
     slines = [
         f"config: {batch.config_name}",

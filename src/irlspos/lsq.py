@@ -124,20 +124,6 @@ class CandidateEstimate:
     def reference_id(self) -> int:
         return self.range_differences.reference_id
 
-    @property
-    def residual_norm_m(self) -> float:
-        """Euclidean norm of the range-difference residuals at ``position``,
-        computed when read."""
-        residuals = residuals_at(self.position.x, self.position.y, self.range_differences)
-        return math.sqrt(math.fsum(r * r for r in residuals))
-
-
-def residuals_at(x: float, y: float, rd: RangeDifferenceSet) -> list[float]:
-    """Residuals r_n = delta_d_n - (||p - q_n|| - ||p - q_e||) at p = (x, y)."""
-    rx, ry = rd.reference
-    dist_e = math.hypot(x - rx, y - ry)
-    return [dd - (math.hypot(x - qx, y - qy) - dist_e) for qx, qy, dd in rd.rows]
-
 
 def _gauss_newton_step(x: float, y: float, rd: RangeDifferenceSet) -> tuple[float, float] | None:
     """The step s minimizing ||J s + r|| at p = (x, y).

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import irlspos
 from irlspos import (
+    SPEED_OF_LIGHT_M_S,
     BaseStation,
     GeometryError,
     LinkState,
@@ -56,6 +57,26 @@ def exact_measurements(ue, stations, band, biases=None, schedule_period_s=0.0):
         schedule_period_s=schedule_period_s,
         noise_std_m=0.0,
     )
+
+
+def true_first_toa(ue, bs):
+    """Propagation time of the direct path from a station to the UE, in seconds."""
+    return euclidean_distance(ue, bs.position) / SPEED_OF_LIGHT_M_S
+
+
+def residuals_at(x, y, rd):
+    """Residuals r_n = delta_d_n - (||p - q_n|| - ||p - q_e||) of a range
+    difference set at p = (x, y)."""
+    rx, ry = rd.reference
+    dist_e = math.hypot(x - rx, y - ry)
+    return [dd - (math.hypot(x - qx, y - qy) - dist_e) for qx, qy, dd in rd.rows]
+
+
+def residual_norm_m(candidate):
+    """Euclidean norm of a candidate's range-difference residuals at its
+    position."""
+    p = candidate.position
+    return math.sqrt(math.fsum(r * r for r in residuals_at(p.x, p.y, candidate.range_differences)))
 
 
 def ring_stations(n):

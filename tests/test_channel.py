@@ -28,11 +28,11 @@ from irlspos import (
     euclidean_distance,
     irls_position,
     toa_noise_std,
-    true_first_toa,
 )
 from irlspos import harness
+from irlspos.geometry import as_number
 from irlspos.presets import PRESET_NAMES, get_preset
-from conftest import exact_measurements, fingerprint, toa, transmission_offsets
+from conftest import exact_measurements, fingerprint, toa, transmission_offsets, true_first_toa
 from waveform import (
     ROLLOFF,
     MultipathComponent,
@@ -232,8 +232,17 @@ def test_common_epoch_check_agrees_with_the_full_rule(samples, schedule_period_s
 
 @given(station_id=IDS, bias=NUMBERS)
 def test_common_link_check_agrees_with_the_full_rule(station_id, bias):
-    built = outcome(lambda: LinkState(station_id, bias))
-    assert built == outcome(lambda: fully_checked(LinkState, station_id, bias))
+    # a link state has one rule: its bias read as a finite number, then >= 0
+    try:
+        value = as_number(bias, "nlos_bias_m")
+    except ConfigError as exc:
+        expected = (ConfigError, str(exc))
+    else:
+        if value < 0:
+            expected = (ConfigError, f"nlos_bias_m must be >= 0, got {value!r}")
+        else:
+            expected = (repr(station_id), repr(value))
+    assert outcome(lambda: LinkState(station_id, bias)) == expected
 
 
 @pytest.mark.parametrize("preset", PRESET_NAMES)
@@ -243,10 +252,9 @@ def test_emulated_epochs_take_the_common_case(preset, monkeypatch):
 
     cfg = get_preset(preset)
     monkeypatch.setattr(MeasurementSet, "_check", full_check)
-    monkeypatch.setattr(LinkState, "_check", full_check)
     for t in range(cfg.trials_per_poi):
-        mset, links = harness.emulate_trial_measurements(cfg, t % len(cfg.pois), t)
-        assert len(mset.samples) == len(links) == len(cfg.stations)
+        mset, biases = harness.emulate_trial_measurements(cfg, t % len(cfg.pois), t)
+        assert len(mset.samples) == len(biases) == len(cfg.stations)
 
 
 # --- noise model --------------------------------------------------------------

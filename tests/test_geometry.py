@@ -15,11 +15,10 @@ from irlspos import (
     geometry,
     irls_position,
     run_batch,
-    true_first_toa,
 )
 from irlspos.geometry import check_station_layout
 from irlspos.presets import get_preset
-from conftest import exact_measurements
+from conftest import exact_measurements, true_first_toa
 
 
 def test_distance_identity():

@@ -32,10 +32,9 @@ from irlspos.harness import (
     block_trial_rngs,
     emulate_trial_measurements,
     export_results,
-    trial_rngs,
 )
 from irlspos.lsq import solve_single_reference
-from irlspos.presets import corner_stations, get_preset, mmwave_profile
+from irlspos.presets import PRESET_NAMES, corner_stations, get_preset, mmwave_profile
 from irlspos.tdoa import compute_tdoas
 from conftest import fingerprint, fixes
 
@@ -44,6 +43,22 @@ def small_config(**overrides):
     cfg = get_preset("static_cband").with_overrides(trials_per_poi=2)
     cfg = replace(cfg, pois=cfg.pois[:4])
     return replace(cfg, **overrides) if overrides else cfg
+
+
+def spawned_rngs(root_seed, poi_index, trial_index):
+    """A trial's (link/bias, noise) generators by numpy's definition: child i
+    is ``SeedSequence(root_seed, spawn_key=(poi_index, trial_index, i))``."""
+    return tuple(
+        np.random.default_rng(
+            np.random.SeedSequence(root_seed, spawn_key=(poi_index, trial_index, i))
+        )
+        for i in range(2)
+    )
+
+
+def lone_trial_rngs(root_seed, poi_index, trial_index):
+    """The generators the library seeds for one trial on its own."""
+    return next(block_trial_rngs(root_seed, [(poi_index, trial_index)], True))
 
 
 def batch_from_errors(errors, method=METHOD_LS):
@@ -81,11 +96,11 @@ def test_summary_empty_batch():
 # --- determinism and fairness ---------------------------------------------------
 
 def test_trial_rng_split_is_deterministic():
-    a1, n1 = trial_rngs(42, 3, 7)
-    a2, n2 = trial_rngs(42, 3, 7)
+    a1, n1 = lone_trial_rngs(42, 3, 7)
+    a2, n2 = lone_trial_rngs(42, 3, 7)
     assert a1.random(4).tolist() == a2.random(4).tolist()
     assert n1.random(4).tolist() == n2.random(4).tolist()
-    b1, _ = trial_rngs(42, 3, 8)
+    b1, _ = lone_trial_rngs(42, 3, 8)
     assert a1.random(4).tolist() != b1.random(4).tolist()
 
 
@@ -93,9 +108,9 @@ def test_trial_rng_split_is_deterministic():
 @pytest.mark.parametrize("key", [(0, 0), (3, 7), (22, 49)])
 def test_trial_rngs_are_the_spawned_children(root_seed, key):
     # the documented rule: the two children spawn(2) gives of the trial's
-    # SeedSequence, built directly from their spawn keys
+    # SeedSequence, which a lone trial's block of one builds directly
     children = np.random.SeedSequence(root_seed, spawn_key=key).spawn(2)
-    for rng, child in zip(trial_rngs(root_seed, *key), children):
+    for rng, child in zip(lone_trial_rngs(root_seed, *key), children, strict=True):
         spawned = np.random.default_rng(child)
         assert rng.random(8).tolist() == spawned.random(8).tolist()
         assert rng.normal(0.0, 1.0, 4).tolist() == spawned.normal(0.0, 1.0, 4).tolist()
@@ -114,7 +129,7 @@ KEY_BLOCKS = st.lists(st.tuples(KEY_WORD, KEY_WORD), min_size=1, max_size=6)
 @example(root_seed=2**128, keys=[(2**32 - 1, 0)])
 @example(root_seed=2**128 + 1, keys=[(1, 1), (1, 2)])
 def test_block_seeding_matches_seed_sequence(root_seed, keys):
-    for (poi, trial), rngs in zip(keys, block_trial_rngs(root_seed, keys), strict=True):
+    for (poi, trial), rngs in zip(keys, block_trial_rngs(root_seed, keys, True), strict=True):
         for i, rng in enumerate(rngs):
             oracle = np.random.default_rng(
                 np.random.SeedSequence(root_seed, spawn_key=(poi, trial, i))
@@ -127,7 +142,7 @@ def test_block_seeding_matches_seed_sequence(root_seed, keys):
 
 def test_block_generators_are_fresh_per_trial():
     keys = [(0, 0), (0, 0), (0, 1)]
-    rngs = [rng for pair in block_trial_rngs(5, keys) for rng in pair]
+    rngs = [rng for pair in block_trial_rngs(5, keys, True) for rng in pair]
     assert len({id(rng) for rng in rngs}) == len({id(rng.bit_generator) for rng in rngs}) == 6
     first, repeat = rngs[0], rngs[2]
     assert first.random() == repeat.random()
@@ -178,10 +193,12 @@ def test_run_batch_emulates_the_trial_rngs_epochs(block_trials, rule, monkeypatc
     keys = [(p, t) for p in range(len(cfg.pois)) for t in range(cfg.trials_per_poi)]
     assert [key for key, _ in seen] == keys
     assert len(built) == generators * len(keys)
-    biased = [ln.nlos_bias_m > 0 for _, (_, links) in seen for ln in links]
+    biased = [bias > 0 for _, (_, biases) in seen for bias in biases]
     assert any(biased) == (nlos_probability > 0)
-    for key, (mset, links) in seen:
-        assert (mset, links) == emulate(cfg, *key)
+    # against numpy's definition of the streams, and a lone trial's default
+    for key, out in seen:
+        assert out == emulate(cfg, *key, rngs=spawned_rngs(cfg.root_seed, *key))
+        assert out == emulate(cfg, *key)
 
 
 # an all-LoS epoch must not depend on whether the link stream is drawn: the
@@ -211,24 +228,44 @@ def test_all_los_epochs_match_drawing_and_discarding_the_link_stream(fix, root_s
         run_batch(cfg)
     assert len(seen) == trials
     los = [LinkState(s.id) for s in sorted(stations, key=lambda s: s.id)]
-    for t, (mset, links) in enumerate(seen):
-        link_rng, noise_rng = trial_rngs(root_seed, 0, t)
+    for t, (mset, biases) in enumerate(seen):
+        link_rng, noise_rng = spawned_rngs(root_seed, 0, t)
         assert not any(link_rng.random() < cfg.nlos_probability for _ in stations)
         expected = emulate_measurement_set(
             ue, stations, los, cfg.band, noise_rng,
             schedule_period_s=cfg.schedule_period_s, epoch_id=t,
         )
-        assert links == los
+        assert biases == [0.0] * len(stations)
         assert fingerprint(mset) == fingerprint(expected)
         assert mset == expected
 
 
-def test_emulation_draws_from_the_generators_it_is_given():
+def test_emulation_draws_from_the_generators_it_is_given(monkeypatch):
     cfg = small_config(nlos_probability=0.5)
-    given, given_links = emulate_trial_measurements(cfg, 0, 0, rngs=trial_rngs(cfg.root_seed, 0, 1))
-    other, other_links = emulate_trial_measurements(cfg, 0, 1)
-    assert (given.samples, given_links) == (other.samples, other_links)
+    given, given_biases = emulate_trial_measurements(cfg, 0, 0, rngs=spawned_rngs(cfg.root_seed, 0, 1))
+    other, other_biases = emulate_trial_measurements(cfg, 0, 1)
+    assert (given.samples, given_biases) == (other.samples, other_biases)
     assert given.samples != emulate_trial_measurements(cfg, 0, 0)[0].samples
+
+    # without generators, a lone trial builds what its batch would: the
+    # link/bias one only when its draws can change the epoch, and both in
+    # the states of numpy's definition
+    default_rng = np.random.default_rng
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return default_rng(*args, **kwargs)
+
+    for preset in PRESET_NAMES:
+        cfg = get_preset(preset)
+        key = (len(cfg.pois) - 1, cfg.trials_per_poi - 1)
+        built.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(np.random, "default_rng", counting)
+            lone = emulate_trial_measurements(cfg, *key)
+        assert len(built) == (2 if cfg.nlos_probability > 0 else 1), preset
+        assert lone == emulate_trial_measurements(cfg, *key, rngs=spawned_rngs(cfg.root_seed, *key))
 
 
 @pytest.mark.parametrize("trials", [2**32, 2**40])
@@ -256,9 +293,9 @@ def test_link_draws_are_band_independent():
     )
     for poi_index in range(2):
         for trial_index in range(2):
-            _, links_c = emulate_trial_measurements(cband, poi_index, trial_index)
-            _, links_m = emulate_trial_measurements(mmwave, poi_index, trial_index)
-            assert links_c == links_m
+            _, biases_c = emulate_trial_measurements(cband, poi_index, trial_index)
+            _, biases_m = emulate_trial_measurements(mmwave, poi_index, trial_index)
+            assert biases_c == biases_m
 
 
 def test_both_methods_consume_identical_measurements():
@@ -325,6 +362,22 @@ def test_export_cdf_properties(tmp_path):
         assert probs[-1] == 1.0
         assert all(a <= b for a, b in zip(probs, probs[1:]))
         assert all(a <= b for a, b in zip(errors, errors[1:]))
+
+
+@pytest.mark.parametrize(
+    "records",
+    [(), (TrialRecord(0, 0, "other", 1.0),)],
+    ids=["no-records", "no-method-records"],
+)
+def test_export_with_nothing_to_summarize_writes_nothing(records, tmp_path):
+    batch = TrialBatch("x", 0, records)
+    out = tmp_path / "out"
+    for d in (tmp_path, out):
+        with pytest.raises(ValueError, match="empty"):
+            export_results(batch, d)
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ValueError, match="empty"):
+        summarize(batch)
 
 
 def test_reexport_is_byte_identical(tmp_path):
@@ -569,16 +622,17 @@ def test_hand_built_summaries(name):
 @pytest.mark.parametrize("name", sorted(SMALL_CONFIGS))
 def test_trial_emulation_is_the_channel_emulator(name):
     # one ToA formula: a trial's epoch is what emulate_measurement_set makes
-    # from the trial's links and noise generator
+    # from the trial's biases, as link states, and its noise generator
     cfg = export_config(name)
+    ids = sorted(s.id for s in cfg.stations)
     for p in range(len(cfg.pois)):
         for t in range(cfg.trials_per_poi):
-            mset, links = emulate_trial_measurements(cfg, p, t)
-            _, noise_rng = trial_rngs(cfg.root_seed, p, t)
+            mset, biases = emulate_trial_measurements(cfg, p, t)
+            _, noise_rng = spawned_rngs(cfg.root_seed, p, t)
             expected = emulate_measurement_set(
                 cfg.pois[p],
                 cfg.stations,
-                links,
+                [LinkState(sid, bias) for sid, bias in zip(ids, biases, strict=True)],
                 cfg.band,
                 noise_rng,
                 schedule_period_s=cfg.schedule_period_s,

@@ -44,6 +44,7 @@ from conftest import (
     exact_measurements,
     fixes,
     loaded_after,
+    residuals_at,
     ring_stations,
 )
 
@@ -221,7 +222,7 @@ def test_uncertainty_is_the_mean_absolute_residual(stations, band, monkeypatch):
     assert est.iterations > 1 and len(seen) == 4 * est.iterations
     for i, q in enumerate(fused[: est.iterations]):
         for c, u in zip(candidates, seen[4 * i : 4 * i + 4]):
-            residuals = lsq.residuals_at(q.x, q.y, c.range_differences)
+            residuals = residuals_at(q.x, q.y, c.range_differences)
             assert u == math.fsum(abs(r) for r in residuals) / len(residuals)
 
 
@@ -417,18 +418,17 @@ def test_each_reference_is_formed_once_per_fix(n, band, monkeypatch):
 
 
 def test_loop_computes_no_residual_vectors(stations, band, monkeypatch):
-    # candidates compute their residual norm only when read, and the loop
-    # forms each uncertainty in place, so a fix never calls residuals_at
+    # the loop forms each uncertainty in place, and the GN step builds a
+    # residual vector only on its lstsq fallback, which this
+    # well-conditioned fix never takes
     calls = []
-    original = lsq.residuals_at
+    original = lsq._lstsq_step
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    for module in (lsq, irls_module):
-        if hasattr(module, "residuals_at"):
-            monkeypatch.setattr(module, "residuals_at", counting)
+    monkeypatch.setattr(lsq, "_lstsq_step", counting)
     m = exact_measurements(Position2D(3.0, 21.0), stations, band, biases={2: 0.8})
     est = irls_position(m, stations)
     assert est.iterations > 1

@@ -25,9 +25,9 @@ from irlspos import (
     ConfigError,
     Position2D,
     toa_noise_std,
-    true_first_toa,
 )
 from irlspos.geometry import as_number, read_fields
+from conftest import true_first_toa
 
 ROLLOFF = 0.25
 
