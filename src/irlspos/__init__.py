@@ -3,27 +3,23 @@ outlier rejection, plus a statistical ToA emulator and a Monte-Carlo
 benchmark harness.
 
 The names below are the library's API: ``irls_position``, ``run_batch``
-and the types they take and return, plus the emulator and its helpers. The
-layer that ``irls_position`` runs below its epoch checks trusts them:
-``compute_tdoas`` forms every reference's ``RangeDifferenceSet`` in one
-pass, and ``solve_single_reference`` and ``solve_all_references`` solve
-them. It is imported from its modules.
+and the types they take and return, plus the ranging noise model
+``toa_noise_std``. Two parts are imported from their modules instead. The
+one ToA emulator, ``irlspos.harness.emulate_trial_measurements``, makes a
+scenario trial's epoch. The layer that ``irls_position`` runs below its
+epoch checks trusts its inputs: ``compute_tdoas`` forms every reference's
+``RangeDifferenceSet`` in one pass, and ``solve_single_reference`` and
+``solve_all_references`` solve them.
 
 ``import irlspos``, loading a scenario and an ``irls_position`` fix run on
-plain floats and do not import numpy. The emulator's draws and the
-solver's lstsq fallback import it when called. The harness names
+plain floats and do not import numpy. The solver's lstsq fallback imports
+it when called. The harness names
 (``run_batch``, ``export_results``, ``summarize``, ``TrialBatch``,
 ``TrialRecord`` and ``MethodSummary``) are resolved from
 :mod:`irlspos.harness` on first access, since that module imports numpy
 when it loads."""
 
-from .channel import (
-    BandProfile,
-    LinkState,
-    MeasurementSet,
-    emulate_measurement_set,
-    toa_noise_std,
-)
+from .channel import BandProfile, MeasurementSet, toa_noise_std
 from .config import BiasModel, ScenarioConfig, load_config
 from .errors import ConfigError, GeometryError
 from .geometry import (
@@ -59,7 +55,6 @@ __all__ = [
     "ConfigError",
     "GeometryError",
     "IrlsSettings",
-    "LinkState",
     "MeasurementSet",
     "MethodSummary",
     "Position2D",
@@ -70,7 +65,6 @@ __all__ = [
     "TrialBatch",
     "TrialRecord",
     "andrews_weight",
-    "emulate_measurement_set",
     "euclidean_distance",
     "export_results",
     "get_preset",

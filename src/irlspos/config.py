@@ -44,12 +44,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any
 
-from .channel import (
-    BandProfile,
-    ranging_noise_m,
-    station_ranges,
-    transmit_staggers,
-)
+from .channel import BandProfile, toa_noise_std
 from .errors import ConfigError, GeometryError
 from .geometry import (
     SPEED_OF_LIGHT_M_S,
@@ -183,15 +178,24 @@ class ScenarioConfig:
     def emulation(self) -> tuple:
         """What every trial's emulation shares, built at first use and kept
         with the config: the ascending station ids, each station's transmit
-        stagger in seconds, the ranging noise std in meters, and per PoI the
-        range to each station in id order."""
+        stagger ``(id - min_id) * schedule_period_s`` in seconds, the ranging
+        noise std in meters (``toa_noise_std(band)``, or
+        ``noise_override_m`` when set), and per PoI the range to each
+        station in id order: the 2D distance, or sqrt(d_2d^2 +
+        height_difference_m^2) when the height difference is not 0."""
         layout = check_station_layout(self.stations)
-        return (
-            layout.ids,
-            transmit_staggers(layout.ids, self.schedule_period_s),
-            ranging_noise_m(self.band, self.noise_override_m),
-            tuple(station_ranges(p, layout.coords, self.height_difference_m) for p in self.pois),
-        )
+        ids, h = layout.ids, self.height_difference_m
+        staggers = tuple([(sid - ids[0]) * self.schedule_period_s for sid in ids])
+        sigma_m = self.noise_override_m
+        if sigma_m is None:
+            sigma_m = toa_noise_std(self.band)
+        ranges = []
+        for p in self.pois:
+            dists = [math.hypot(p.x - x, p.y - y) for x, y in layout.coords]
+            if h != 0.0:
+                dists = [math.hypot(dist, h) for dist in dists]
+            ranges.append(tuple(dists))
+        return ids, staggers, sigma_m, tuple(ranges)
 
     def with_overrides(
         self, *, root_seed: int | None = None, trials_per_poi: int | None = None

@@ -1,4 +1,4 @@
-"""Planar geometry primitives and the noise-free time-of-arrival model.
+"""Planar geometry primitives, scalar readers and the checked station layout.
 
 All solver math is strictly 2D. Distances are in meters, times in seconds.
 ``SPEED_OF_LIGHT_M_S`` is the single source of truth for every
@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .errors import ConfigError, GeometryError
 
@@ -104,23 +103,16 @@ def read_fields(obj: object, read: Callable[[Any, str], Any], *names: str) -> No
         object.__setattr__(obj, name, read(getattr(obj, name), name))
 
 
-def sorted_stations(stations: Iterable[BaseStation]) -> list[BaseStation]:
-    """Stations in ascending id order; the canonical iteration order everywhere."""
-    return sorted(stations, key=lambda s: s.id)
-
-
 @dataclass(frozen=True)
 class StationLayout:
-    """A checked layout: ``stations`` by ascending id, ``positions`` by id in
-    that order (read-only), their ``ids`` and ``(x, y)`` ``coords`` as
-    tuples in the same order, ``box`` = (min_x, min_y, max_x, max_y), the
-    station ``centroid`` (x, y) and the box ``diagonal``. Only
+    """A checked layout: the station ``ids`` ascending, which is the
+    canonical station order everywhere, and their ``(x, y)`` ``coords`` in
+    that order, ``box`` = (min_x, min_y, max_x, max_y), the station
+    ``centroid`` (x, y) and the box ``diagonal``. Only
     :func:`check_station_layout` builds one, so holding one means the check
     ran. A layout is shared by every caller that checks an equal station
     tuple, so nothing in it can be changed."""
 
-    stations: tuple[BaseStation, ...]
-    positions: Mapping[int, Position2D]
     ids: tuple[int, ...]
     coords: tuple[tuple[float, float], ...]
     box: tuple[float, float, float, float]
@@ -166,23 +158,21 @@ _checked_layouts: list[tuple[tuple[BaseStation, ...], StationLayout]] = []
 
 
 def _check(stations: tuple[BaseStation, ...]) -> StationLayout:
-    sts = tuple(sorted_stations(stations))
+    sts = sorted(stations, key=lambda s: s.id)
     if len(sts) < MIN_STATIONS:
         raise GeometryError(
             f"under-determined geometry: need at least {MIN_STATIONS} stations, got {len(sts)}"
         )
-    positions = {s.id: s.position for s in sts}
-    if len(positions) != len(sts):
-        raise GeometryError(f"station ids must be unique, got {[s.id for s in sts]}")
+    ids = tuple(s.id for s in sts)
+    if len(set(ids)) != len(ids):
+        raise GeometryError(f"station ids must be unique, got {list(ids)}")
     if _all_collinear(sts):
         raise GeometryError("stations are collinear; 2D position is not solvable")
-    xs = [p.x for p in positions.values()]
-    ys = [p.y for p in positions.values()]
+    xs = [s.position.x for s in sts]
+    ys = [s.position.y for s in sts]
     min_x, min_y, max_x, max_y = min(xs), min(ys), max(xs), max(ys)
     return StationLayout(
-        sts,
-        MappingProxyType(positions),
-        tuple(positions),
+        ids,
         tuple(zip(xs, ys)),
         (min_x, min_y, max_x, max_y),
         (sum(xs) / len(xs), sum(ys) / len(ys)),

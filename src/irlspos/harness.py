@@ -1,4 +1,5 @@
-"""Monte-Carlo benchmark driver.
+"""Monte-Carlo benchmark driver and the library's one ToA emulator,
+:func:`emulate_trial_measurements`, which stands in for a ray tracer.
 
 Each (PoI, trial) pair gets its own RNG streams split from the root seed by
 a documented rule: two children of ``SeedSequence(entropy=root_seed,
@@ -41,9 +42,9 @@ from typing import Iterator, Sequence
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .channel import MeasurementSet, arrival_samples
+from .channel import MeasurementSet
 from .config import ScenarioConfig
-from .geometry import check_station_layout, euclidean_distance
+from .geometry import SPEED_OF_LIGHT_M_S, check_station_layout, euclidean_distance
 from .irls import irls_position
 
 # not called here: run_batch reaches both through irls_position, but
@@ -191,16 +192,18 @@ def emulate_trial_measurements(
     rngs: tuple[np.random.Generator | None, np.random.Generator] | None = None,
 ) -> tuple[MeasurementSet, list[float]]:
     """The measurement set both methods consume for one (PoI, trial), and
-    each station's NLoS bias in meters, in ascending id order.
+    each station's NLoS bias in meters, in ascending id order: the
+    library's one ToA emulator.
 
     ``rngs`` are the trial's fresh (link/bias, noise) generators, by default
     those :func:`block_trial_rngs` builds for it alone, as a batch would.
     Per station in id order, the link/bias generator draws one ``random()``
     and, when that falls below ``nlos_probability``, one bias; a LoS link's
     bias is 0.0. With ``nlos_probability`` 0 it draws nothing and may be
-    None. The epoch is what :func:`~irlspos.channel.emulate_measurement_set`
-    makes from the same noise generator, built from the config's
-    ``emulation`` constants."""
+    None. The noise generator then draws N Gaussian values of std sigma at
+    once, the same stream as N scalar draws, one per station in id order.
+    Per station, from the config's ``emulation`` constants:
+    ToA = stagger + (range + nlos_bias + noise) / c."""
     link = _draws_links(cfg)
     if rngs is None:
         rngs = next(block_trial_rngs(cfg.root_seed, [(poi_index, trial_index)], link))
@@ -212,7 +215,13 @@ def emulate_trial_measurements(
     else:
         biases = [0.0] * len(ids)
     noise = noise_rng.normal(0.0, sigma_m, len(ids)).tolist()
-    samples = arrival_samples(ids, staggers, ranges[poi_index], biases, noise)
+    c = SPEED_OF_LIGHT_M_S
+    samples = tuple([
+        (sid, stagger + (range_m + bias + noise_m) / c)
+        for sid, stagger, range_m, bias, noise_m in zip(
+            ids, staggers, ranges[poi_index], biases, noise
+        )
+    ])
     return MeasurementSet(trial_index, samples, cfg.schedule_period_s), biases
 
 

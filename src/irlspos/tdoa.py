@@ -38,8 +38,7 @@ def compute_tdoas(m: MeasurementSet, layout: StationLayout) -> tuple[RangeDiffer
     """Every reference's set, ascending by reference id, with
     delta_d = c * ((toa_n - toa_e) - delta_ne).
 
-    The transmit-schedule offset delta_ne = (n - e) * schedule period, as
-    :meth:`~irlspos.channel.MeasurementSet.transmission_offset` gives it, is
+    The transmit-schedule offset delta_ne = (n - e) * schedule period is
     known exactly (synchronized stations) and cancels out of the arrival
     difference before scaling by the speed of light. ``m`` must hold exactly
     the layout's stations; both ascend by id, so sample k belongs to the

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, settings
 from hypothesis import strategies as st
@@ -17,9 +18,8 @@ from irlspos import (
     SPEED_OF_LIGHT_M_S,
     BaseStation,
     GeometryError,
-    LinkState,
+    MeasurementSet,
     Position2D,
-    emulate_measurement_set,
     euclidean_distance,
 )
 from irlspos.geometry import check_station_layout
@@ -44,18 +44,52 @@ def band():
     return cband_profile()
 
 
+def emulate_epoch(
+    ue,
+    stations,
+    band,
+    rng,
+    biases=None,
+    *,
+    schedule_period_s,
+    noise_std_m,
+    height_difference_m,
+    epoch_id,
+):
+    """A hand-made epoch, written apart from the library's emulator: per
+    station in id order, ToA = (id - min id) * period + (range + bias +
+    noise) / c, where range is the 2D distance, taken through hypot with
+    ``height_difference_m`` when that is not 0, ``biases`` maps station id
+    to excess meters, and the noise is one draw of N values of std
+    ``noise_std_m`` from ``np.random.default_rng(rng)``. ``band`` is not
+    read: the caller passes the std."""
+    biases = biases or {}
+    ordered = sorted(stations, key=lambda s: s.id)
+    noise = np.random.default_rng(rng).normal(0.0, noise_std_m, len(ordered)).tolist()
+    first = ordered[0].id
+    samples = []
+    for s, noise_m in zip(ordered, noise):
+        range_m = math.hypot(ue.x - s.position.x, ue.y - s.position.y)
+        if height_difference_m != 0.0:
+            range_m = math.hypot(range_m, height_difference_m)
+        stagger = (s.id - first) * schedule_period_s
+        toa = stagger + (range_m + biases.get(s.id, 0.0) + noise_m) / SPEED_OF_LIGHT_M_S
+        samples.append((s.id, toa))
+    return MeasurementSet(epoch_id, tuple(samples), schedule_period_s)
+
+
 def exact_measurements(ue, stations, band, biases=None, schedule_period_s=0.0):
     """Noise-free measurement set; ``biases`` maps station id -> excess meters."""
-    biases = biases or {}
-    links = [LinkState(s.id, nlos_bias_m=biases.get(s.id, 0.0)) for s in stations]
-    return emulate_measurement_set(
+    return emulate_epoch(
         ue,
         stations,
-        links,
         band,
-        rng_seed=0,
+        0,
+        biases,
         schedule_period_s=schedule_period_s,
         noise_std_m=0.0,
+        height_difference_m=0.0,
+        epoch_id=0,
     )
 
 
@@ -162,7 +196,7 @@ def toa(m, station_id):
 def transmission_offsets(m):
     """Every pairwise transmit offset of a measurement set, keyed (n, e)."""
     ids = m.station_ids
-    return {(n, e): m.transmission_offset(n, e) for n in ids for e in ids if n != e}
+    return {(n, e): (n - e) * m.schedule_period_s for n in ids for e in ids if n != e}
 
 
 def fingerprint(m):

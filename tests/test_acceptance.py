@@ -59,13 +59,12 @@ from irlspos import (
     summarize,
     toa_noise_std,
 )
-from irlspos.channel import LinkState, emulate_measurement_set
 from irlspos.geometry import check_station_layout
 from irlspos.harness import METHOD_IRLS, METHOD_LS, export_results
 from irlspos.lsq import solve_single_reference
 from irlspos.presets import cband_profile, corner_stations, get_preset
 from irlspos.tdoa import compute_tdoas
-from conftest import AOI_H, AOI_W, deltas_by_id, exact_measurements
+from conftest import AOI_H, AOI_W, deltas_by_id, emulate_epoch, exact_measurements
 from waveform import (
     MultipathComponent,
     estimate_toa_from_waveform,
@@ -240,9 +239,15 @@ def test_criterion_5_grid_search_oracle():
             for s in STATIONS
         ]
         ue = Position2D(*rng.uniform([3.0, 3.0], [AOI_W - 3.0, AOI_H - 3.0]))
-        links = [LinkState(s.id) for s in stations]
-        m = emulate_measurement_set(
-            ue, stations, links, CBAND, rng_seed=rng, noise_std_m=0.01
+        m = emulate_epoch(
+            ue,
+            stations,
+            CBAND,
+            rng,
+            schedule_period_s=0.0,
+            noise_std_m=0.01,
+            height_difference_m=0.0,
+            epoch_id=0,
         )
         layout = check_station_layout(stations)
         rd = compute_tdoas(m, layout)[0]

@@ -20,19 +20,18 @@ from irlspos import (
     BaseStation,
     ConfigError,
     IrlsSettings,
-    LinkState,
     MeasurementSet,
     Position2D,
+    ScenarioConfig,
     SolverSettings,
-    emulate_measurement_set,
     euclidean_distance,
     irls_position,
     toa_noise_std,
 )
 from irlspos import harness
-from irlspos.geometry import as_number
+from irlspos.config import BiasModel
 from irlspos.presets import PRESET_NAMES, get_preset
-from conftest import exact_measurements, fingerprint, toa, transmission_offsets, true_first_toa
+from conftest import fingerprint, toa, transmission_offsets, true_first_toa
 from waveform import (
     ROLLOFF,
     MultipathComponent,
@@ -228,21 +227,6 @@ PERIODS = st.one_of(
 def test_common_epoch_check_agrees_with_the_full_rule(samples, schedule_period_s):
     built = outcome(lambda: MeasurementSet(7, samples, schedule_period_s))
     assert built == outcome(lambda: fully_checked(MeasurementSet, 7, samples, schedule_period_s))
-
-
-@given(station_id=IDS, bias=NUMBERS)
-def test_common_link_check_agrees_with_the_full_rule(station_id, bias):
-    # a link state has one rule: its bias read as a finite number, then >= 0
-    try:
-        value = as_number(bias, "nlos_bias_m")
-    except ConfigError as exc:
-        expected = (ConfigError, str(exc))
-    else:
-        if value < 0:
-            expected = (ConfigError, f"nlos_bias_m must be >= 0, got {value!r}")
-        else:
-            expected = (repr(station_id), repr(value))
-    assert outcome(lambda: LinkState(station_id, bias)) == expected
 
 
 @pytest.mark.parametrize("preset", PRESET_NAMES)
@@ -510,9 +494,27 @@ def test_multipath_component_rejects_malformed_fields(amplitude, toa_s, match):
 
 # --- statistical-mode emulator ----------------------------------------------------
 
+def one_poi_config(ue, stations, band, **fields):
+    """A one-trial scenario with its one PoI at ``ue``, with no transmit
+    stagger unless ``fields`` set one."""
+    fields.setdefault("schedule_period_s", 0.0)
+    return ScenarioConfig(
+        stations=tuple(stations), pois=(ue,), band=band, trials_per_poi=1, **fields
+    )
+
+
+def emulated(ue, stations, band, rngs=None, **fields):
+    """The library emulator's epoch and biases for trial 0 of
+    :func:`one_poi_config`; ``rngs`` are the trial's (link/bias, noise)
+    generators, by default its own."""
+    cfg = one_poi_config(ue, stations, band, **fields)
+    return harness.emulate_trial_measurements(cfg, 0, 0, rngs=rngs)
+
+
 def test_emulator_zero_noise_all_los_reproduces_truth(stations, band):
     ue = Position2D(7.0, 11.0)
-    m = exact_measurements(ue, stations, band)
+    m, biases = emulated(ue, stations, band, noise_override_m=0.0)
+    assert biases == [0.0] * len(stations)
     for st in stations:
         assert toa(m, st.id) == pytest.approx(true_first_toa(ue, st), abs=1e-22)
 
@@ -520,7 +522,7 @@ def test_emulator_zero_noise_all_los_reproduces_truth(stations, band):
 def test_emulator_schedule_stagger_is_exact(stations, band):
     ue = Position2D(7.0, 11.0)
     delta = 0.010
-    m = exact_measurements(ue, stations, band, schedule_period_s=delta)
+    m, _ = emulated(ue, stations, band, schedule_period_s=delta, noise_override_m=0.0)
     for st in stations:
         stagger = (st.id - 1) * delta
         assert toa(m, st.id) - stagger == pytest.approx(true_first_toa(ue, st), abs=1e-17)
@@ -529,55 +531,70 @@ def test_emulator_schedule_stagger_is_exact(stations, band):
 
 
 def test_emulator_bias_adds_exact_range(stations, band):
+    # the same noise-free trial, all LoS and then with a fixed 10 m bias on
+    # the links that the link generator's draws make NLoS
     ue = Position2D(4.0, 6.0)
-    clean = exact_measurements(ue, stations, band)
-    biased = exact_measurements(ue, stations, band, biases={2: 10.0})
-    assert toa(biased, 2) - toa(clean, 2) == pytest.approx(10.0 / SPEED_OF_LIGHT_M_S, rel=1e-12)
-    assert toa(biased, 1) == toa(clean, 1)
+    clean, _ = emulated(ue, stations, band, noise_override_m=0.0)
+    biased, biases = emulated(
+        ue,
+        stations,
+        band,
+        rngs=(np.random.default_rng(0), np.random.default_rng(0)),
+        noise_override_m=0.0,
+        nlos_probability=0.5,
+        bias_model=BiasModel("fixed", 10.0),
+    )
+    assert 0.0 in biases and 10.0 in biases
+    for sid, bias in zip(clean.station_ids, biases):
+        if bias:
+            assert toa(biased, sid) - toa(clean, sid) == pytest.approx(
+                10.0 / SPEED_OF_LIGHT_M_S, rel=1e-12
+            )
+        else:
+            assert toa(biased, sid) == toa(clean, sid)
 
 
 def test_emulator_is_deterministic(stations, band):
     ue = Position2D(12.0, 9.0)
-    links = [LinkState(s.id) for s in stations]
-    m1 = emulate_measurement_set(ue, stations, links, band, rng_seed=123)
-    m2 = emulate_measurement_set(ue, stations, links, band, rng_seed=123)
+    m1, _ = emulated(ue, stations, band, rngs=(None, np.random.default_rng(123)))
+    m2, _ = emulated(ue, stations, band, rngs=(None, np.random.default_rng(123)))
     assert m1 == m2
     assert fingerprint(m1) == fingerprint(m2)
-    m3 = emulate_measurement_set(ue, stations, links, band, rng_seed=124)
+    m3, _ = emulated(ue, stations, band, rngs=(None, np.random.default_rng(124)))
     assert m1 != m3
 
 
 def test_emulator_draws_one_noise_value_per_station_in_id_order(stations, band):
     # the determinism contract: station k (by id) gets the k-th scalar draw
-    # of the noise stream
+    # of the noise stream, whatever order the scenario lists the stations in
     ue = Position2D(7.0, 15.0)
-    links = [LinkState(s.id, 0.5 * s.id) for s in stations]
-    m = emulate_measurement_set(ue, list(reversed(stations)), links, band, rng_seed=11)
+    m, biases = emulated(
+        ue,
+        list(reversed(stations)),
+        band,
+        rngs=(np.random.default_rng(5), np.random.default_rng(11)),
+        nlos_probability=1.0,
+    )
+    assert all(bias > 0 for bias in biases)
     gen = np.random.default_rng(11)
     sigma = toa_noise_std(band)
-    for s in sorted(stations, key=lambda s: s.id):
-        range_m = euclidean_distance(ue, s.position) + 0.5 * s.id + gen.normal(0.0, sigma)
+    for s, bias in zip(sorted(stations, key=lambda s: s.id), biases):
+        range_m = euclidean_distance(ue, s.position) + bias + gen.normal(0.0, sigma)
         assert toa(m, s.id) == range_m / SPEED_OF_LIGHT_M_S
-
-
-def test_emulator_rejects_link_mismatch(stations, band):
-    links = [LinkState(s.id) for s in stations[:-1]]
-    with pytest.raises(ConfigError, match="link states"):
-        emulate_measurement_set(Position2D(1, 1), stations, links, band, 0)
 
 
 def test_emulator_noise_is_unbiased(stations, band):
     # mean of (measured - true) over 10^4 draws within 4 sigma / sqrt(n) of zero
     ue = Position2D(10.0, 10.0)
     st = stations[0]
-    links = [LinkState(s.id) for s in stations]
+    cfg = one_poi_config(ue, stations, band)
     sigma = toa_noise_std(band)
     n = 10_000
     rng = np.random.default_rng(7)
     draws = np.empty(n)
     truth = true_first_toa(ue, st)
     for i in range(n):
-        m = emulate_measurement_set(ue, stations, links, band, rng_seed=rng)
+        m, _ = harness.emulate_trial_measurements(cfg, 0, 0, rngs=(None, rng))
         draws[i] = toa(m, st.id) - truth
     mean_m = draws.mean() * SPEED_OF_LIGHT_M_S
     assert abs(mean_m) < 4 * sigma / math.sqrt(n)
@@ -585,23 +602,10 @@ def test_emulator_noise_is_unbiased(stations, band):
 
 def test_emulator_projected_3d_offset(stations, band):
     ue = Position2D(10.0, 10.0)
-    links = [LinkState(s.id) for s in stations]
-    m = emulate_measurement_set(
-        ue, stations, links, band, 0, noise_std_m=0.0, height_difference_m=3.0
-    )
+    m, _ = emulated(ue, stations, band, noise_override_m=0.0, height_difference_m=3.0)
     d2d = math.hypot(10.0, 10.0)
     expected = math.hypot(d2d, 3.0) / SPEED_OF_LIGHT_M_S
     assert toa(m, 1) == pytest.approx(expected, rel=1e-15)
-
-
-# None and "a" used to raise TypeError, and True counted as a 1 m bias
-@pytest.mark.parametrize(
-    "bias", [-0.5, math.nan, math.inf, None, "a", [2.0], True],
-    ids=["negative", "nan", "inf", "none", "text", "list", "bool"],
-)
-def test_link_state_rejects_malformed_bias(bias):
-    with pytest.raises(ConfigError, match="nlos_bias_m"):
-        LinkState(1, bias)
 
 
 def test_import_leaves_scipy_signal_unloaded():

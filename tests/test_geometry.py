@@ -1,6 +1,7 @@
 """Distance, noise-free ToA model, and the station-layout check."""
 
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -125,8 +126,6 @@ def test_layout_rejects_collinear():
 def test_layout_sorts_by_id(stations):
     shuffled = [stations[2], stations[0], stations[3], stations[1]]
     layout = check_station_layout(shuffled)
-    assert [s.id for s in layout.stations] == [1, 2, 3, 4]
-    assert list(layout.positions) == [1, 2, 3, 4]
     assert layout.ids == (1, 2, 3, 4)
     assert layout.coords == ((0.0, 0.0), (29.0, 0.0), (29.0, 25.0), (0.0, 25.0))
     assert layout.box == (0.0, 0.0, 29.0, 25.0)
@@ -136,15 +135,15 @@ def test_layout_sorts_by_id(stations):
 
 def test_shared_layout_cannot_be_changed(stations):
     layout = check_station_layout(stations)
-    with pytest.raises(TypeError):
-        layout.positions[1] = Position2D(5.0, 5.0)
-    with pytest.raises(TypeError):
-        del layout.positions[1]
-    with pytest.raises(AttributeError):
-        layout.positions.clear()
+    coords = ((0.0, 0.0), (29.0, 0.0), (29.0, 25.0), (0.0, 25.0))
+    for name in ("ids", "coords", "box", "centroid", "diagonal"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(layout, name, ())
     stations.append(BaseStation(5, Position2D(9.0, 9.0)))
-    assert layout.ids == (1, 2, 3, 4) and len(layout.positions) == 4
+    assert layout.ids == (1, 2, 3, 4) and layout.coords == coords
     assert check_station_layout(stations[:4]) is layout
+    stations[0] = BaseStation(9, Position2D(5.0, 5.0))
+    assert layout.ids == (1, 2, 3, 4) and layout.coords == coords
 
 
 @pytest.fixture

@@ -2,8 +2,10 @@
 
 import hashlib
 import multiprocessing
+import re
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +19,9 @@ from irlspos import (
     irls_position,
     run_batch,
     summarize,
+    toa_noise_std,
 )
 from irlspos import harness
-from irlspos.channel import LinkState, emulate_measurement_set
 from irlspos.config import BiasModel
 from irlspos.geometry import check_station_layout
 from irlspos.harness import (
@@ -36,7 +38,7 @@ from irlspos.harness import (
 from irlspos.lsq import solve_single_reference
 from irlspos.presets import PRESET_NAMES, corner_stations, get_preset, mmwave_profile
 from irlspos.tdoa import compute_tdoas
-from conftest import fingerprint, fixes
+from conftest import emulate_epoch, fingerprint, fixes
 
 
 def small_config(**overrides):
@@ -227,13 +229,18 @@ def test_all_los_epochs_match_drawing_and_discarding_the_link_stream(fix, root_s
         mp.setattr(harness, "emulate_trial_measurements", recording)
         run_batch(cfg)
     assert len(seen) == trials
-    los = [LinkState(s.id) for s in sorted(stations, key=lambda s: s.id)]
     for t, (mset, biases) in enumerate(seen):
         link_rng, noise_rng = spawned_rngs(root_seed, 0, t)
         assert not any(link_rng.random() < cfg.nlos_probability for _ in stations)
-        expected = emulate_measurement_set(
-            ue, stations, los, cfg.band, noise_rng,
-            schedule_period_s=cfg.schedule_period_s, epoch_id=t,
+        expected = emulate_epoch(
+            ue,
+            stations,
+            cfg.band,
+            noise_rng,
+            schedule_period_s=cfg.schedule_period_s,
+            noise_std_m=toa_noise_std(cfg.band),
+            height_difference_m=0.0,
+            epoch_id=t,
         )
         assert biases == [0.0] * len(stations)
         assert fingerprint(mset) == fingerprint(expected)
@@ -619,29 +626,43 @@ def test_hand_built_summaries(name):
     assert list(summarize(batch)) == list(expected)
 
 
-@pytest.mark.parametrize("name", sorted(SMALL_CONFIGS))
+@pytest.mark.parametrize("name", [*PRESET_NAMES, *sorted(SMALL_CONFIGS)])
 def test_trial_emulation_is_the_channel_emulator(name):
-    # one ToA formula: a trial's epoch is what emulate_measurement_set makes
-    # from the trial's biases, as link states, and its noise generator
+    # each trial's epoch is the hand-made one of conftest's emulate_epoch, an
+    # oracle written apart from the library, from the trial's biases and its
+    # noise generator by numpy's SeedSequence definition
     cfg = export_config(name)
     ids = sorted(s.id for s in cfg.stations)
+    sigma_m = toa_noise_std(cfg.band) if cfg.noise_override_m is None else cfg.noise_override_m
     for p in range(len(cfg.pois)):
         for t in range(cfg.trials_per_poi):
             mset, biases = emulate_trial_measurements(cfg, p, t)
             _, noise_rng = spawned_rngs(cfg.root_seed, p, t)
-            expected = emulate_measurement_set(
+            expected = emulate_epoch(
                 cfg.pois[p],
                 cfg.stations,
-                [LinkState(sid, bias) for sid, bias in zip(ids, biases, strict=True)],
                 cfg.band,
                 noise_rng,
+                dict(zip(ids, biases, strict=True)),
                 schedule_period_s=cfg.schedule_period_s,
-                noise_std_m=cfg.noise_override_m,
+                noise_std_m=sigma_m,
                 height_difference_m=cfg.height_difference_m,
                 epoch_id=t,
             )
             assert fingerprint(mset) == fingerprint(expected)
             assert mset == expected
+
+
+def test_readme_quick_start_runs(capsys):
+    # the README's one Python snippet, run as written, so a renamed or
+    # removed name in it fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (snippet,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    namespace = {}
+    exec(compile(snippet, "README.md", "exec"), namespace)
+    estimate, cfg = namespace["estimate"], namespace["cfg"]
+    assert euclidean_distance(estimate.position, cfg.pois[0]) < 0.01
+    assert "error:" in capsys.readouterr().out
 
 
 # semidynamic_cband at its default seed: 374 of its 1,150 trials reject every

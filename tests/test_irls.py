@@ -21,14 +21,13 @@ from irlspos import (
     ConfigError,
     GeometryError,
     IrlsSettings,
-    LinkState,
     MeasurementSet,
     Position2D,
     SolverSettings,
     andrews_weight,
-    emulate_measurement_set,
     euclidean_distance,
     irls_position,
+    toa_noise_std,
     weighted_average,
 )
 from irlspos import irls as irls_module
@@ -41,6 +40,7 @@ from conftest import (
     AOI_H,
     AOI_W,
     deltas_by_id,
+    emulate_epoch,
     exact_measurements,
     fixes,
     loaded_after,
@@ -332,12 +332,16 @@ def test_moderate_bias_matches_scripted_oracle(stations, band):
         ue = Position2D(*rng.uniform([2, 2], [AOI_W - 2, AOI_H - 2]))
         biased = int(rng.integers(1, 5))
         bias = float(rng.uniform(0.5, 4.0))
-        links = [
-            LinkState(s.id, bias if s.id == biased else 0.0)
-            for s in sorted({s.id: s for s in stations}.values(), key=lambda s: s.id)
-        ]
-        m = emulate_measurement_set(
-            ue, stations, links, band, rng_seed=trial, noise_std_m=1.5e-3
+        m = emulate_epoch(
+            ue,
+            stations,
+            band,
+            trial,
+            {biased: bias},
+            schedule_period_s=0.0,
+            noise_std_m=1.5e-3,
+            height_difference_m=0.0,
+            epoch_id=0,
         )
         est = irls_position(m, stations)
         oracle = scripted_oracle(m, stations)
@@ -377,10 +381,18 @@ def test_four_station_bias_at_5x_cutoff_still_zeroes_biased_weight(stations, ban
 
 def test_weights_sum_to_one_on_noisy_instances(stations, band):
     rng = np.random.default_rng(15)
-    links = [LinkState(s.id) for s in stations]
     for trial in range(10):
         ue = Position2D(*rng.uniform([2, 2], [AOI_W - 2, AOI_H - 2]))
-        m = emulate_measurement_set(ue, stations, links, band, rng_seed=trial)
+        m = emulate_epoch(
+            ue,
+            stations,
+            band,
+            trial,
+            schedule_period_s=0.0,
+            noise_std_m=toa_noise_std(band),
+            height_difference_m=0.0,
+            epoch_id=0,
+        )
         est = irls_position(m, stations)
         assert sum(est.weights.values()) == pytest.approx(1.0, abs=1e-12)
         assert all(w >= 0 for w in est.weights.values())

@@ -124,7 +124,7 @@ def test_formation_over_drawn_layouts(stations, flight_s, period_s):
         assert len(rd.rows) == len(ids) - 1
         for n, (x, y, dd) in zip(others, rd.rows):
             assert (x, y) == (position[n].x, position[n].y)
-            assert dd == SPEED_OF_LIGHT_M_S * ((toas[n] - toas[e]) - m.transmission_offset(n, e))
+            assert dd == SPEED_OF_LIGHT_M_S * ((toas[n] - toas[e]) - (n - e) * period_s)
             delta[n, e] = dd
     for (n, e), dd in delta.items():
         assert dd == pytest.approx(-delta[e, n], abs=1e-9)
