@@ -17,7 +17,8 @@ it when called. The harness names
 (``run_batch``, ``export_results``, ``summarize``, ``TrialBatch``,
 ``TrialRecord`` and ``MethodSummary``) are resolved from
 :mod:`irlspos.harness` on first access, since that module imports numpy
-when it loads."""
+when it loads. A ``TrialBatch`` holds its results as columns, one row per
+trial, and builds its ``TrialRecord`` view, ``per_trial``, on each read."""
 
 from .channel import BandProfile, MeasurementSet, toa_noise_std
 from .config import BiasModel, ScenarioConfig, load_config

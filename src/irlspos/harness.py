@@ -18,22 +18,26 @@ of trials in one array pass. The pass repeats ``SeedSequence``'s hash on
 uint32 lanes, one lane per child: the root seed's words mixed into the
 4-word pool, then the key words (poi, trial, i), then
 ``generate_state(4, uint64)``. Each key word must fit in 32 bits, which
-``ScenarioConfig`` checks. :func:`run_batch` seeds its trials in blocks of
-``SEED_BLOCK_TRIALS``, and :func:`emulate_trial_measurements` seeds a lone
-trial as a block of one. Either way a trial gets fresh generators of its
-own, but only those whose draws can change its epoch: no link/bias
-generator when ``nlos_probability`` is 0, since no draw can flip a link
+``ScenarioConfig`` checks. :func:`run_batch` runs its trials in blocks of
+``SEED_BLOCK_TRIALS``, each seeded in one pass, emulated, then fixed, and
+:func:`emulate_trial_measurements` seeds a lone trial as a block of one.
+Either way a trial gets fresh generators of its own, but only those whose
+draws can change its epoch: no link/bias generator when
+``nlos_probability`` is 0, since no draw can flip a link
 (:func:`_draws_links`). A trial's NLoS biases are plain floats, 0.0 on a
 LoS link.
 
 Both methods consume the identical measurement set per trial: the robust
 method rotates references and reweights, and LS is its candidate for the
 lowest station id, the fixed-reference solve on the same range differences,
-so each trial runs one solve per station.
+so each trial runs one solve per station. A :class:`TrialBatch` keeps both
+methods' results as columns, one row per trial; its ``per_trial`` records
+are built only when read.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
@@ -87,23 +91,57 @@ class MethodSummary:
     p90_error_m: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrialBatch:
-    """All per-trial results of one run, and two run diagnostics: the
-    trials whose reweighting rejected every reference (``degenerate``) and
-    the candidate solves, one per station per trial, that ended without
-    meeting the step tolerance."""
+    """All per-trial results of one run, one row per trial across five
+    columns in trial order, and two run diagnostics: the trials whose
+    reweighting rejected every reference (``degenerate``) and the candidate
+    solves, one per station per trial, that ended without meeting the step
+    tolerance.
+
+    Each trial has an LS error, an IRLS error and the IRLS rejected station
+    ids. The columns are tuples, so the summary both :func:`summarize` and
+    :func:`export_results` read is computed once, on first use."""
 
     config_name: str
     root_seed: int
-    per_trial: tuple[TrialRecord, ...]
+    poi_index: tuple[int, ...]
+    trial_index: tuple[int, ...]
+    ls_error_m: tuple[float, ...]
+    irls_error_m: tuple[float, ...]
+    rejected_stations: tuple[tuple[int, ...], ...]
     degenerate_trials: int = 0
     nonconverged_candidates: int = 0
 
-    def errors(self, method: str) -> np.ndarray:
-        return np.array(
-            [t.error_2d_m for t in self.per_trial if t.method == method]
+    def __post_init__(self) -> None:
+        columns = (
+            self.poi_index, self.trial_index, self.ls_error_m,
+            self.irls_error_m, self.rejected_stations,
         )
+        if len({len(column) for column in columns}) != 1:
+            raise ValueError("TrialBatch columns differ in length")
+
+    def errors(self, method: str) -> np.ndarray:
+        return np.array({METHOD_LS: self.ls_error_m, METHOD_IRLS: self.irls_error_m}[method])
+
+    @property
+    def per_trial(self) -> tuple[TrialRecord, ...]:
+        """The rows as records, LS then IRLS per trial, built on each read."""
+        return tuple(
+            record
+            for poi, trial, ls, irls, rejected in zip(
+                self.poi_index, self.trial_index, self.ls_error_m,
+                self.irls_error_m, self.rejected_stations,
+            )
+            for record in (
+                TrialRecord(poi, trial, METHOD_LS, ls),
+                TrialRecord(poi, trial, METHOD_IRLS, irls, rejected),
+            )
+        )
+
+    @functools.cached_property
+    def _summary(self) -> dict[str, MethodSummary]:
+        return _summaries(self)
 
 
 def _hash_constants(start: int, mult: int, steps: int) -> np.ndarray:
@@ -231,94 +269,94 @@ def run_batch(cfg: ScenarioConfig) -> TrialBatch:
     Solver failures surface as large errors on flagged candidates, never as
     batch aborts; the batch counts degenerate trials and non-converged
     candidates from the estimates it already holds. Deterministic given the
-    config and root seed: trials run PoI by PoI, and each block of
-    ``SEED_BLOCK_TRIALS`` of them is seeded in one pass, building a link/bias
-    generator only when its draws can change an epoch.
+    config and root seed: trials run PoI by PoI, in blocks of
+    ``SEED_BLOCK_TRIALS``. Each block runs in stages: one array pass seeds
+    it, building a link/bias generator only when its draws can change an
+    epoch; every trial of the block is emulated; then every epoch is fixed
+    and its results are appended to the columns. So the numpy draws run
+    apart from the pure-Python fixes, and a block's epochs are all the
+    batch holds between the stages.
     """
     layout = check_station_layout(cfg.stations)
     link = _draws_links(cfg)
-    records: list[TrialRecord] = []
+    keys: list[tuple[int, int]] = []
+    ls_column: list[float] = []
+    irls_column: list[float] = []
+    rejected_column: list[tuple[int, ...]] = []
     degenerate = nonconverged = 0
     pairs = itertools.product(range(len(cfg.pois)), range(cfg.trials_per_poi))
     while block := list(itertools.islice(pairs, SEED_BLOCK_TRIALS)):
         rngs_of = block_trial_rngs(cfg.root_seed, block, link)
-        for (poi_index, trial_index), rngs in zip(block, rngs_of):
-            poi = cfg.pois[poi_index]
-            mset, _ = emulate_trial_measurements(cfg, poi_index, trial_index, rngs=rngs)
+        epochs = [
+            emulate_trial_measurements(cfg, poi_index, trial_index, rngs=rngs)[0]
+            for (poi_index, trial_index), rngs in zip(block, rngs_of)
+        ]
+        keys += block
+        for (poi_index, _), mset in zip(block, epochs):
             estimate = irls_position(mset, layout, cfg.solver, cfg.irls)
-            # candidates ascend by reference id: the first is fixed-reference LS
-            ls_candidate = estimate.candidates[0]
+            poi = cfg.pois[poi_index]
             degenerate += estimate.degenerate
             nonconverged += sum(not c.converged for c in estimate.candidates)
-            records.append(
-                TrialRecord(
-                    poi_index=poi_index,
-                    trial_index=trial_index,
-                    method=METHOD_LS,
-                    error_2d_m=euclidean_distance(ls_candidate.position, poi),
-                )
-            )
-            records.append(
-                TrialRecord(
-                    poi_index=poi_index,
-                    trial_index=trial_index,
-                    method=METHOD_IRLS,
-                    error_2d_m=euclidean_distance(estimate.position, poi),
-                    rejected_stations=estimate.rejected_station_ids(),
-                )
-            )
+            # candidates ascend by reference id: the first is fixed-reference LS
+            ls_column.append(euclidean_distance(estimate.candidates[0].position, poi))
+            irls_column.append(euclidean_distance(estimate.position, poi))
+            rejected_column.append(estimate.rejected_station_ids())
     return TrialBatch(
         config_name=cfg.name,
         root_seed=cfg.root_seed,
-        per_trial=tuple(records),
+        poi_index=tuple(p for p, _ in keys),
+        trial_index=tuple(t for _, t in keys),
+        ls_error_m=tuple(ls_column),
+        irls_error_m=tuple(irls_column),
+        rejected_stations=tuple(rejected_column),
         degenerate_trials=degenerate,
         nonconverged_candidates=nonconverged,
     )
 
 
-def _summaries(errors: dict[str, np.ndarray]) -> dict[str, MethodSummary]:
-    """Mean and 90th-percentile error per method with any errors, from each
-    method's errors in record order. A ValueError when no method has any."""
-    if not any(column.size for column in errors.values()):
+def _summaries(batch: TrialBatch) -> dict[str, MethodSummary]:
+    """Mean and 90th-percentile error per method, from its column. A
+    ValueError when the batch has no trials."""
+    if not batch.poi_index:
         raise ValueError("cannot summarize an empty batch")
-    return {
-        method: MethodSummary(
+    summaries = {}
+    for method in METHODS:
+        column = batch.errors(method)
+        summaries[method] = MethodSummary(
             n_trials=int(column.size),
             mean_error_m=float(column.mean()),
             p90_error_m=float(np.percentile(column, P90_QUANTILE)),
         )
-        for method, column in errors.items()
-        if column.size
-    }
+    return summaries
 
 
 def summarize(batch: TrialBatch) -> dict[str, MethodSummary]:
-    """Mean and 90th-percentile error per method."""
-    return _summaries({method: batch.errors(method) for method in METHODS})
+    """Mean and 90th-percentile error per method, computed once per batch."""
+    return dict(batch._summary)
 
 
 def export_results(batch: TrialBatch, out_dir: str | Path) -> list[Path]:
     """Write per-trial, summary, and per-method CDF files.
 
     Formats are pinned for byte determinism: floats carry 9 significant
-    digits, rows follow the deterministic record order, rejected station
-    ids are ';'-joined inside their CSV field. One pass over the records
-    formats each error once, for its trials row and its CDF row. A batch
-    with nothing to summarize raises before any file is written.
+    digits, rows follow the deterministic trial order, LS then IRLS per
+    trial, and rejected station ids are ';'-joined inside their CSV field.
+    One pass over the columns formats each error once, for its trials row
+    and its CDF row. A batch with nothing to summarize raises before any
+    file is written.
     """
+    summary = batch._summary
+    texts = {
+        METHOD_LS: [f"{e:.9g}" for e in batch.ls_error_m],
+        METHOD_IRLS: [f"{e:.9g}" for e in batch.irls_error_m],
+    }
     lines = ["poi_index,trial_index,method,error_2d_m,rejected_stations"]
-    # per method: its errors and their texts, in record order
-    columns: dict[str, tuple[list[float], list[str]]] = {method: ([], []) for method in METHODS}
-    for t in batch.per_trial:
-        text = f"{t.error_2d_m:.9g}"
-        rejected = ";".join(map(str, t.rejected_stations))
-        lines.append(f"{t.poi_index},{t.trial_index},{t.method},{text},{rejected}")
-        if t.method in columns:
-            errors, texts = columns[t.method]
-            errors.append(t.error_2d_m)
-            texts.append(text)
-    arrays = {method: np.array(errors) for method, (errors, _) in columns.items()}
-    summary = _summaries(arrays)
+    for poi, trial, ls, irls, rejected in zip(
+        batch.poi_index, batch.trial_index, texts[METHOD_LS], texts[METHOD_IRLS],
+        batch.rejected_stations,
+    ):
+        lines.append(f"{poi},{trial},{METHOD_LS},{ls},")
+        lines.append(f"{poi},{trial},{METHOD_IRLS},{irls},{';'.join(map(str, rejected))}")
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -337,8 +375,6 @@ def export_results(batch: TrialBatch, out_dir: str | Path) -> list[Path]:
         f"nonconverged_candidates: {batch.nonconverged_candidates}",
     ]
     for method in METHODS:
-        if method not in summary:
-            continue
         s = summary[method]
         slines += [
             f"method: {method}",
@@ -349,20 +385,15 @@ def export_results(batch: TrialBatch, out_dir: str | Path) -> list[Path]:
     summary_path.write_text("\n".join(slines) + "\n")
     written.append(summary_path)
 
-    # the probability column of each distinct method size, formatted once
-    probabilities: dict[int, list[str]] = {}
+    # both methods have one error per trial: one probability column serves both
+    n = len(batch.poi_index)
+    probabilities = [f"{(k + 1) / n:.9g}" for k in range(n)]
     for method in METHODS:
-        n = arrays[method].size
-        if n == 0:
-            continue
-        if n not in probabilities:
-            probabilities[n] = [f"{(k + 1) / n:.9g}" for k in range(n)]
-        texts = columns[method][1]
         cdf_path = out / f"cdf_{method.lower()}.csv"
         rows = ["error_m,cumulative_probability"]
         # ascending error, NaN last, as np.sort orders them
-        order = np.argsort(arrays[method], kind="stable").tolist()
-        rows += [f"{texts[i]},{p}" for i, p in zip(order, probabilities[n])]
+        order = np.argsort(batch.errors(method), kind="stable").tolist()
+        rows += [f"{texts[method][i]},{p}" for i, p in zip(order, probabilities)]
         cdf_path.write_text("\n".join(rows) + "\n")
         written.append(cdf_path)
     return written

@@ -113,6 +113,33 @@ def test_batch_reaches_each_layer_once_per_epoch(preset, calls, tmp_path):
         assert 0 < steps <= iterations
 
 
+@pytest.mark.parametrize("preset", ["static_cband", "semidynamic_cband"])
+def test_run_batch_emulates_and_fixes_each_trial_once(preset, monkeypatch):
+    # perfbench/tracer.py reads an emulate call's PoI and trial from args[1]
+    # and args[2], so both stay positional
+    cfg = get_preset(preset).with_overrides(trials_per_poi=2)
+    emulate, position = harness.emulate_trial_measurements, harness.irls_position
+    emulated, fixed = [], []
+
+    def emulating(*args, **kwargs):
+        assert len(args) == 3 and set(kwargs) == {"rngs"}
+        out = emulate(*args, **kwargs)
+        emulated.append((args[1:], out[0]))
+        return out
+
+    def fixing(mset, *args, **kwargs):
+        fixed.append(mset)
+        return position(mset, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "emulate_trial_measurements", emulating)
+    monkeypatch.setattr(harness, "irls_position", fixing)
+    harness.run_batch(cfg)
+    keys = [(p, t) for p in range(len(cfg.pois)) for t in range(cfg.trials_per_poi)]
+    assert [key for key, _ in emulated] == keys
+    assert len(fixed) == len(keys)
+    assert all(mset is epoch for mset, (_, epoch) in zip(fixed, emulated))
+
+
 # GN steps of the preset's 1,150 trials at its default seed
 GN_STEPS = {"static_cband": 20_649, "semidynamic_cband": 28_840}
 

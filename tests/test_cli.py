@@ -151,6 +151,24 @@ def test_run_end_to_end(tmp_path, capsys):
         assert (out_dir / name).is_file(), name
 
 
+def test_run_summarizes_each_batch_once(tmp_path, monkeypatch, capsys):
+    # export_results and the printed lines read one summary of the batch
+    from irlspos import harness
+
+    summaries = harness._summaries
+    calls = []
+
+    def counting(batch):
+        calls.append(batch)
+        return summaries(batch)
+
+    monkeypatch.setattr(harness, "_summaries", counting)
+    scenario = write_small_scenario(tmp_path)
+    assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert len(calls) == 1
+    assert "mean" in capsys.readouterr().out
+
+
 def test_run_overrides_seed_and_trials(tmp_path):
     scenario = write_small_scenario(tmp_path)
     out1 = tmp_path / "r1"

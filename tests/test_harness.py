@@ -63,11 +63,16 @@ def lone_trial_rngs(root_seed, poi_index, trial_index):
     return next(block_trial_rngs(root_seed, [(poi_index, trial_index)], True))
 
 
-def batch_from_errors(errors, method=METHOD_LS):
-    records = tuple(
-        TrialRecord(0, i, method, float(e)) for i, e in enumerate(errors)
-    )
-    return TrialBatch(config_name="test", root_seed=0, per_trial=records)
+def batch_from_rows(name, root_seed, rows, **counters):
+    """A TrialBatch from (poi, trial, LS error, IRLS error[, rejected]) rows."""
+    rows = [(*row, ()) if len(row) == 4 else row for row in rows]
+    columns = [tuple(column) for column in zip(*rows)] or [()] * 5
+    return TrialBatch(name, root_seed, *columns, **counters)
+
+
+def batch_from_errors(errors):
+    # the same errors for both methods
+    return batch_from_rows("test", 0, [(0, i, float(e), float(e)) for i, e in enumerate(errors)])
 
 
 # --- summarize ---------------------------------------------------------------
@@ -92,7 +97,12 @@ def test_summary_constant():
 
 def test_summary_empty_batch():
     with pytest.raises(ValueError, match="empty"):
-        summarize(TrialBatch("x", 0, ()))
+        summarize(TrialBatch("x", 0, (), (), (), (), ()))
+
+
+def test_batch_columns_must_have_one_row_per_trial():
+    with pytest.raises(ValueError, match="length"):
+        TrialBatch("x", 0, (0, 0), (0, 1), (1.0, 2.0), (1.0,), ((), ()))
 
 
 # --- determinism and fairness ---------------------------------------------------
@@ -371,13 +381,9 @@ def test_export_cdf_properties(tmp_path):
         assert all(a <= b for a, b in zip(errors, errors[1:]))
 
 
-@pytest.mark.parametrize(
-    "records",
-    [(), (TrialRecord(0, 0, "other", 1.0),)],
-    ids=["no-records", "no-method-records"],
-)
-def test_export_with_nothing_to_summarize_writes_nothing(records, tmp_path):
-    batch = TrialBatch("x", 0, records)
+@pytest.mark.parametrize("rows", [[]], ids=["no-records"])
+def test_export_with_nothing_to_summarize_writes_nothing(rows, tmp_path):
+    batch = batch_from_rows("x", 0, rows)
     out = tmp_path / "out"
     for d in (tmp_path, out):
         with pytest.raises(ValueError, match="empty"):
@@ -509,42 +515,26 @@ def test_default_seed_exports_are_pinned(preset, tmp_path):
 
 # hand-built batches that take export branches no preset run takes
 HAND_BUILT_BATCHES = {
-    # no LS record: no LS summary section and no cdf_ls.csv
-    "irls-only": TrialBatch(
-        "irls-only",
-        7,
-        (
-            TrialRecord(0, 0, METHOD_IRLS, 0.25),
-            TrialRecord(0, 1, METHOD_IRLS, 1.5, (3,)),
-            TrialRecord(1, 0, METHOD_IRLS, 0.125),
-            TrialRecord(1, 1, METHOD_IRLS, 12.0625, (1, 2, 4)),
-        ),
-        degenerate_trials=1,
-    ),
-    # rejected sets of several ids, written in the order the record holds them
-    "multi-id-rejected": TrialBatch(
+    # rejected sets of several ids, written in the order the row holds them
+    "multi-id-rejected": batch_from_rows(
         "multi-id-rejected",
         3,
-        (
-            TrialRecord(0, 0, METHOD_LS, 2.5),
-            TrialRecord(0, 0, METHOD_IRLS, 0.75, (1, 3, 4)),
-            TrialRecord(0, 1, METHOD_LS, 0.5),
-            TrialRecord(0, 1, METHOD_IRLS, 0.625, (11, 2, 7, 5)),
-            TrialRecord(1, 0, METHOD_LS, 4.0),
-            TrialRecord(1, 0, METHOD_IRLS, 3.0, (2,)),
-            TrialRecord(1, 1, METHOD_LS, 1.0),
-            TrialRecord(1, 1, METHOD_IRLS, 9.0, (1, 2, 3, 4, 5, 6, 7, 8)),
-        ),
+        [
+            (0, 0, 2.5, 0.75, (1, 3, 4)),
+            (0, 1, 0.5, 0.625, (11, 2, 7, 5)),
+            (1, 0, 4.0, 3.0, (2,)),
+            (1, 1, 1.0, 9.0, (1, 2, 3, 4, 5, 6, 7, 8)),
+        ],
         degenerate_trials=1,
         nonconverged_candidates=3,
     ),
     # equal errors, and errors that differ past the 9th digit, in both methods
-    "tied-errors": TrialBatch(
+    "tied-errors": batch_from_rows(
         "tied-errors",
         0,
-        tuple(
-            TrialRecord(0, t, method, error)
-            for t, pair in enumerate(
+        [
+            (0, t, ls, irls)
+            for t, (ls, irls) in enumerate(
                 [
                     (1.0, 1.0),
                     (0.5, 1.0000000001),
@@ -556,33 +546,23 @@ HAND_BUILT_BATCHES = {
                     (1.0, 2.0),
                 ]
             )
-            for method, error in zip(METHODS, pair)
-        ),
+        ],
     ),
     # PoI and trial indices with gaps, not in ascending order
-    "sparse-trials": TrialBatch(
+    "sparse-trials": batch_from_rows(
         "sparse-trials",
         2**64 - 1,
-        (
-            TrialRecord(3, 17, METHOD_LS, 0.3),
-            TrialRecord(3, 17, METHOD_IRLS, 0.2),
-            TrialRecord(0, 5, METHOD_LS, 1.7),
-            TrialRecord(0, 5, METHOD_IRLS, 1.1, (4,)),
-            TrialRecord(22, 2**32 - 1, METHOD_LS, 123456.789),
-            TrialRecord(22, 2**32 - 1, METHOD_IRLS, 1e-12),
-            TrialRecord(3, 2, METHOD_LS, 7.25),
-            TrialRecord(3, 2, METHOD_IRLS, 6.5),
-        ),
+        [
+            (3, 17, 0.3, 0.2),
+            (0, 5, 1.7, 1.1, (4,)),
+            (22, 2**32 - 1, 123456.789, 1e-12),
+            (3, 2, 7.25, 6.5),
+        ],
     ),
 }
 
 # recorded from the export that scanned the records once per file
 HAND_BUILT_SHA256 = {
-    "irls-only": {
-        "trials.csv": "86d67006a694388107a75851c24a6102d7e5f8e231930bb28bb0afc9f0a47a9f",
-        "summary.txt": "cf3b118a31f9853307ec79ecf6267ceb1245e99bb9f5da94382b4b7e3f3a4910",
-        "cdf_irls.csv": "9499533969b1c20c9bb5b914a7c2e99453bde5305ffc9f3ecfc12a0022a92200",
-    },
     "multi-id-rejected": {
         "trials.csv": "4332d9beb8cc16bbd713f2c655c249aec25aade832b6e73cd6a7e937e06ec8a0",
         "summary.txt": "aa82ad036a5a96c519d3f287a1491dc342e39150840dccf7e572b63e888a2427",
@@ -700,6 +680,51 @@ def test_run_diagnostics_count_the_estimates():
     assert batch.nonconverged_candidates == sum(
         not c.converged for e in estimates for c in e.candidates
     )
+
+
+# each config's batch against its trials run one by one: the presets, the
+# small configs, a root seed past two seed words and a batch of two blocks
+LONE_TRIAL_CONFIGS = {
+    "seed-past-2**64": lambda: get_preset("semidynamic_cband").with_overrides(root_seed=2**70 + 5),
+    "two-seed-blocks": lambda: small_config(
+        nlos_probability=0.3, trials_per_poi=harness.SEED_BLOCK_TRIALS // 4 + 1
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name", [*PRESET_NAMES, *sorted(SMALL_CONFIGS), *LONE_TRIAL_CONFIGS]
+)
+def test_staged_batch_equals_lone_trials(name):
+    # run_batch emulates a whole seed block before it fixes any epoch; each
+    # row and both counters must still be what a lone trial's emulation and
+    # fix give, and per_trial the records built from those rows
+    cfg = LONE_TRIAL_CONFIGS[name]() if name in LONE_TRIAL_CONFIGS else export_config(name)
+    rows, records = [], []
+    degenerate = nonconverged = 0
+    for p in range(len(cfg.pois)):
+        for t in range(cfg.trials_per_poi):
+            mset = emulate_trial_measurements(cfg, p, t)[0]
+            estimate = irls_position(mset, cfg.stations, cfg.solver, cfg.irls)
+            ls = euclidean_distance(estimate.candidates[0].position, cfg.pois[p])
+            irls = euclidean_distance(estimate.position, cfg.pois[p])
+            rejected = estimate.rejected_station_ids()
+            rows.append((p, t, ls, irls, rejected))
+            records += [
+                TrialRecord(p, t, METHOD_LS, ls),
+                TrialRecord(p, t, METHOD_IRLS, irls, rejected),
+            ]
+            degenerate += estimate.degenerate
+            nonconverged += sum(not c.converged for c in estimate.candidates)
+    batch = run_batch(cfg)
+    assert batch == batch_from_rows(
+        cfg.name,
+        cfg.root_seed,
+        rows,
+        degenerate_trials=degenerate,
+        nonconverged_candidates=nonconverged,
+    )
+    assert batch.per_trial == tuple(records)
 
 
 # --- output contract ------------------------------------------------------------
