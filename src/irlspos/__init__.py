@@ -4,9 +4,10 @@ benchmark harness.
 
 The names below are the library's API: ``irls_position``, ``run_batch``
 and the types they take and return, plus the ranging noise model
-``toa_noise_std``. Two parts are imported from their modules instead. The
-one ToA emulator, ``irlspos.harness.emulate_trial_measurements``, makes a
-scenario trial's epoch. The layer that ``irls_position`` runs below its
+``toa_noise_std`` and the Andrews weight ``andrews_weight`` that the
+reweighting loop calls. Two parts are imported from their modules instead.
+The one ToA emulator, ``irlspos.harness.emulate_trial_measurements``, makes
+a scenario trial's epoch. The layer that ``irls_position`` runs below its
 epoch checks trusts its inputs: ``compute_tdoas`` forms every reference's
 ``RangeDifferenceSet`` in one pass, and ``solve_single_reference`` and
 ``solve_all_references`` solve them.
@@ -34,7 +35,6 @@ from .irls import (
     PositionEstimate,
     andrews_weight,
     irls_position,
-    weighted_average,
 )
 from .lsq import CandidateEstimate, SolverSettings
 from .presets import PRESET_NAMES, get_preset
@@ -74,7 +74,6 @@ __all__ = [
     "run_batch",
     "summarize",
     "toa_noise_std",
-    "weighted_average",
 ]
 
 

@@ -112,12 +112,18 @@ class MeasurementSet:
     def _check(self) -> None:
         """The full rule: every sample read and sorted by id, and every
         pair's range difference tested."""
-        if len(self.samples) < 1:
+        try:
+            pairs = [(sid, toa) for sid, toa in self.samples]
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"samples must be (station_id, ToA) pairs, got {self.samples!r}"
+            ) from None
+        if not pairs:
             raise ConfigError("measurement set has no samples")
-        for sid, _ in self.samples:
+        for sid, _ in pairs:
             if not is_int(sid):
                 raise ConfigError(f"station id must be an integer, got {sid!r}")
-        ordered = tuple(sorted((sid, as_number(toa, "ToA")) for sid, toa in self.samples))
+        ordered = tuple(sorted((sid, as_number(toa, "ToA")) for sid, toa in pairs))
         object.__setattr__(self, "samples", ordered)
         read_fields(self, as_number, "schedule_period_s")
         ids = [sid for sid, _ in ordered]

@@ -48,7 +48,7 @@ class BaseStation:
 
     def __post_init__(self) -> None:
         if not is_int(self.id):
-            raise ValueError(f"station id must be an integer, got {self.id!r}")
+            raise ConfigError(f"station id must be an integer, got {self.id!r}")
 
 
 def euclidean_distance(a: Position2D, b: Position2D) -> float:

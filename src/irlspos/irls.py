@@ -16,8 +16,8 @@ coordinates with its measured difference, as plain floats), and the loop
 reads those sets. A plain station list is checked by
 :func:`~irlspos.lsq.solve_all_references`, once per distinct station tuple;
 it also matches the epoch against the layout and hands the layout to every
-candidate solve. The fused estimate is read as plain floats between
-iterations.
+candidate solve. The fused estimate stays two plain floats through the
+loop; one ``Position2D`` is built per fix.
 """
 
 from __future__ import annotations
@@ -108,30 +108,25 @@ def andrews_weight(u: float, u_max: float) -> float:
     """Andrews sine weight: redescending, 1 at u=0, hard zero beyond u_max.
 
     w(u) = (u_max / (u pi)) sin(u pi / u_max) for 0 < u <= u_max; the u = 0
-    value is the analytic limit 1.
+    value is the analytic limit 1, as is the value where u_max / (u pi)
+    overflows: the float limit of sin(t)/t. u_max must be finite.
     """
-    if not u_max > 0:
-        raise ValueError(f"u_max must be > 0, got {u_max}")
+    if not 0 < u_max < math.inf:
+        raise ValueError(f"u_max must be finite and > 0, got {u_max}")
     if u < 0 or not math.isfinite(u):
         raise ValueError(f"uncertainty must be finite and >= 0, got {u}")
     if u == 0.0:
         return 1.0
     if u > u_max:
         return 0.0
-    return (u_max / (u * math.pi)) * math.sin(u * math.pi / u_max)
-
-
-def weighted_average(
-    candidates: Sequence[CandidateEstimate], weights: Sequence[float]
-) -> Position2D:
-    """Convex combination of candidate positions; weights must be normalized."""
-    if len(candidates) != len(weights):
-        raise ValueError(
-            f"{len(weights)} weights for {len(candidates)} candidates"
-        )
-    x = math.fsum([w * c.position.x for w, c in zip(weights, candidates)])
-    y = math.fsum([w * c.position.y for w, c in zip(weights, candidates)])
-    return Position2D(x, y)
+    a = u * math.pi
+    if a == math.inf:  # quartering u and u_max is exact and keeps u / u_max
+        a, u_max = u / 4 * math.pi, u_max / 4
+    scale = u_max / a
+    if scale == math.inf:
+        return 1.0
+    # a / u_max can round past pi near the cutoff, where the sine is negative
+    return max(0.0, scale * math.sin(a / u_max))
 
 
 def irls_position(
@@ -144,12 +139,13 @@ def irls_position(
 
     Steps: solve one candidate per reference; fuse with equal weights; then
     iterate (uncertainty per reference at the current fused estimate,
-    Andrews weights, normalize, new fused estimate, step size S) until S drops to the
-    convergence threshold or the iteration budget runs out. At least one
-    weighted iteration always executes. If every reference is rejected in
-    the same iteration, the current fused estimate is returned unchanged
-    with all-zero weights and ``degenerate`` set instead of dividing by
-    zero during normalization.
+    Andrews weights, normalize, new fused estimate, step size S) until S
+    drops to the convergence threshold or the iteration budget runs out. At
+    least one weighted iteration always executes. If every reference is
+    rejected in the same iteration, the current fused estimate is returned
+    unchanged with all-zero weights and ``degenerate`` set instead of
+    dividing by zero during normalization. The fused estimate is two floats;
+    one ``Position2D`` is built per fix, for the estimate returned.
 
     Raises GeometryError for a station list that cannot support a fix
     (fewer than three stations, repeated ids, all collinear), ValueError
@@ -162,13 +158,15 @@ def irls_position(
     candidates = tuple(solve_all_references(m, stations, ls))
     sets = [c.range_differences for c in candidates]
     ids = [rd.reference_id for rd in sets]
+    xs = [c.position.x for c in candidates]
+    ys = [c.position.y for c in candidates]
     hypot, fsum = math.hypot, math.fsum
     u_max, epsilon = irls.u_max_m, irls.epsilon_m
 
     n = len(candidates)
     weights = [1.0 / n] * n
-    q_wa = weighted_average(candidates, weights)
-    x, y = q_wa.x, q_wa.y
+    x = fsum([w * c for w, c in zip(weights, xs)])
+    y = fsum([w * c for w, c in zip(weights, ys)])
     step = math.inf
     converged = False
     iterations = 0
@@ -184,11 +182,11 @@ def irls_position(
         total = fsum(raw)
         if total == 0.0:
             return PositionEstimate(
-                q_wa, dict.fromkeys(ids, 0.0), iterations, False, step, candidates, True
+                Position2D(x, y), dict.fromkeys(ids, 0.0), iterations, False, step, candidates, True
             )
         weights = [w / total for w in raw]
-        q_wa = weighted_average(candidates, weights)
-        x_next, y_next = q_wa.x, q_wa.y
+        x_next = fsum([w * c for w, c in zip(weights, xs)])
+        y_next = fsum([w * c for w, c in zip(weights, ys)])
         step = hypot(x_next - x, y_next - y)
         x, y = x_next, y_next
         if step <= epsilon:
@@ -196,5 +194,5 @@ def irls_position(
             break
 
     return PositionEstimate(
-        q_wa, dict(zip(ids, weights)), iterations, converged, step, candidates
+        Position2D(x, y), dict(zip(ids, weights)), iterations, converged, step, candidates
     )

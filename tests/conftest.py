@@ -106,6 +106,15 @@ def residuals_at(x, y, rd):
     return [dd - (math.hypot(x - qx, y - qy) - dist_e) for qx, qy, dd in rd.rows]
 
 
+def fuse(points, weights):
+    """The weighted sum (fsum(w x), fsum(w y)) of ``(x, y)`` points, written
+    apart from the library's loop; ``weights`` should sum to 1."""
+    return (
+        math.fsum([w * x for w, (x, _) in zip(weights, points)]),
+        math.fsum([w * y for w, (_, y) in zip(weights, points)]),
+    )
+
+
 def residual_norm_m(candidate):
     """Euclidean norm of a candidate's range-difference residuals at its
     position."""

@@ -31,7 +31,6 @@ CALL_POINTS = (
     (lsq, "solve_single_reference"),
     (lsq, "_gauss_newton_step"),
     (irls, "andrews_weight"),
-    (irls, "weighted_average"),
 )
 
 
@@ -59,12 +58,9 @@ def calls(monkeypatch):
 
 
 def loop_counts(estimates):
-    """(andrews_weight calls, weighted_average calls) the loop makes for
-    these estimates: one weight per reference per iteration, and one fused
-    estimate up front plus one per iteration that did not reject all."""
-    andrews = sum(len(e.candidates) * e.iterations for e in estimates)
-    averages = sum(1 + e.iterations - e.degenerate for e in estimates)
-    return andrews, averages
+    """andrews_weight calls the loop makes for these estimates: one weight
+    per reference per iteration."""
+    return sum(len(e.candidates) * e.iterations for e in estimates)
 
 
 @pytest.mark.parametrize("n", [3, 4, 8])
@@ -73,16 +69,34 @@ def test_one_fix_reaches_each_layer_once_per_epoch(n, band, calls):
     stations = ring_stations(n)
     m = exact_measurements(Position2D(13.0, 11.0), stations, band, biases={2: 2.0})
     est = irls.irls_position(m, stations)
-    andrews, averages = loop_counts([est])
     assert counts == {
         "irls.solve_all_references": 1,
         "lsq.compute_tdoas": 1,
         "lsq.solve_single_reference": n,
         # no nudge and no cycle on this epoch: one step per iteration
         "lsq._gauss_newton_step": sum(c.iterations_used for c in est.candidates),
-        "irls.andrews_weight": andrews,
-        "irls.weighted_average": averages,
+        "irls.andrews_weight": loop_counts([est]),
     }
+
+
+# a converging epoch, and one whose +10 m bias rejects every reference
+@pytest.mark.parametrize("biases,degenerate", [({}, False), ({1: 10.0}, True)])
+def test_one_fix_builds_one_fused_position(biases, degenerate, band, monkeypatch):
+    # the loop fuses on plain floats and builds a Position2D only for the
+    # estimate it returns
+    built = []
+    original = irls.Position2D
+
+    def building(*args):
+        built.append(original(*args))
+        return built[-1]
+
+    stations = ring_stations(4)
+    m = exact_measurements(Position2D(13.0, 11.0), stations, band, biases=biases)
+    monkeypatch.setattr(irls, "Position2D", building)
+    est = irls.irls_position(m, stations)
+    assert est.degenerate is degenerate
+    assert built == [est.position] and built[0] is est.position
 
 
 @pytest.mark.parametrize("preset", ["static_cband", "semidynamic_cband"])
@@ -92,7 +106,6 @@ def test_batch_reaches_each_layer_once_per_epoch(preset, calls, tmp_path):
     trials = len(cfg.pois)
     harness.export_results(harness.run_batch(cfg), tmp_path)
     assert len(estimates) == trials
-    andrews, averages = loop_counts(estimates)
     steps = counts.pop("lsq._gauss_newton_step")
     assert counts == {
         "harness.emulate_trial_measurements": trials,
@@ -101,8 +114,7 @@ def test_batch_reaches_each_layer_once_per_epoch(preset, calls, tmp_path):
         "irls.solve_all_references": trials,
         "lsq.compute_tdoas": trials,
         "lsq.solve_single_reference": len(cfg.stations) * trials,
-        "irls.andrews_weight": andrews,
-        "irls.weighted_average": averages,
+        "irls.andrews_weight": loop_counts(estimates),
     }
     iterations = sum(c.iterations_used for e in estimates for c in e.candidates)
     if preset == "static_cband":

@@ -97,11 +97,12 @@ def with_toa(toa):
 
 BAD_TOA = "ToA: expected a finite number"
 BAD_PERIOD = "schedule_period_s: expected a finite number"
+BAD_PAIRS = r"samples must be \(station_id, ToA\) pairs"
 
 
 # the fix trusts what a measurement set checked when it was built; a None,
-# text or list number used to escape as TypeError or a plain ValueError, and
-# a True period read as 1 s
+# text or list number, or a sample that is not a pair, used to escape as
+# TypeError or a plain ValueError, and a True period read as 1 s
 @pytest.mark.parametrize(
     "samples,schedule_period_s,match",
     [
@@ -117,6 +118,10 @@ BAD_PERIOD = "schedule_period_s: expected a finite number"
         pytest.param(GOOD_SAMPLES, "x", BAD_PERIOD, id="text-period"),
         pytest.param(GOOD_SAMPLES, [0.01], BAD_PERIOD, id="list-period"),
         pytest.param(GOOD_SAMPLES, True, BAD_PERIOD, id="bool-period"),
+        pytest.param(((1, 2e-8, 3),), 0.0, BAD_PAIRS, id="triple-sample"),
+        pytest.param(((1,),), 0.0, BAD_PAIRS, id="single-sample"),
+        pytest.param((1, 2), 0.0, BAD_PAIRS, id="bare-ints"),
+        pytest.param(None, 0.0, BAD_PAIRS, id="none-samples"),
     ],
 )
 def test_measurement_set_rejects_malformed_epochs(samples, schedule_period_s, match):

@@ -120,6 +120,16 @@ def test_stagger_that_swamps_the_flight_time_exits_with_config_error(tmp_path, c
     assert not (tmp_path / "out").exists()
 
 
+# the Andrews weight used to overflow to inf, and the run exited 2 on a NaN
+# fused coordinate
+@pytest.mark.parametrize("noise_override_m", [None, 0.0], ids=["band-noise", "noise-free"])
+def test_u_max_near_the_float_range_runs(tmp_path, noise_override_m):
+    path = write_small_scenario(
+        tmp_path, noise_override_m=noise_override_m, irls={"u_max_m": 1e305}
+    )
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
 def test_validate_and_presets_list_load_neither_numpy_nor_yaml():
     for argv in (["validate", "static_cband"], ["presets", "list"]):
         code = f"from irlspos.cli import main; assert main({argv!r}) == 0"

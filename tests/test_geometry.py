@@ -101,6 +101,16 @@ def test_position_rejects_malformed_coordinates(coordinate, value):
         Position2D(**{"x": 1.0, "y": 2.0, coordinate: value})
 
 
+# a station id follows the measurement set's rule and error: it used to be
+# a plain ValueError here and a ConfigError there
+@pytest.mark.parametrize(
+    "value", [1.5, True, "1", None], ids=["float", "bool", "text", "none"]
+)
+def test_station_rejects_non_integer_id(value):
+    with pytest.raises(ConfigError, match="station id must be an integer"):
+        BaseStation(value, Position2D(0.0, 0.0))
+
+
 def test_layout_needs_three_stations():
     sts = [BaseStation(1, Position2D(0, 0)), BaseStation(2, Position2D(1, 0))]
     with pytest.raises(GeometryError, match="under-determined"):

@@ -8,6 +8,7 @@ under the threshold).
 
 import math
 import re
+import sys
 import textwrap
 from dataclasses import replace
 
@@ -28,14 +29,13 @@ from irlspos import (
     euclidean_distance,
     irls_position,
     toa_noise_std,
-    weighted_average,
 )
 from irlspos import irls as irls_module
 from irlspos import lsq, tdoa
 from irlspos.geometry import check_station_layout
-from irlspos.lsq import CandidateEstimate, solve_all_references
+from irlspos.lsq import solve_all_references
 from irlspos.presets import cband_profile, corner_stations
-from irlspos.tdoa import RangeDifferenceSet, compute_tdoas
+from irlspos.tdoa import compute_tdoas
 from conftest import (
     AOI_H,
     AOI_W,
@@ -43,6 +43,7 @@ from conftest import (
     emulate_epoch,
     exact_measurements,
     fixes,
+    fuse,
     loaded_after,
     residuals_at,
     ring_stations,
@@ -150,6 +151,31 @@ def test_andrews_strictly_decreasing_inside_support():
     assert all(a > b for a, b in zip(w, w[1:]))
 
 
+# u_max / (u pi) used to overflow to inf for a u_max near the float range:
+# the weight read inf, or nan for an infinite u_max
+@given(
+    u=st.floats(min_value=0.0, allow_infinity=False),
+    u_max=st.floats(min_value=1e-300, max_value=1e308),
+)
+def test_andrews_weight_is_finite_and_at_most_one(u, u_max):
+    assert 0.0 <= andrews_weight(u, u_max) <= 1.0 + 4 * sys.float_info.epsilon
+
+
+@pytest.mark.parametrize("u_max", [0.0, -1.0, math.inf, math.nan])
+def test_andrews_rejects_u_max_that_is_not_finite_and_positive(u_max):
+    with pytest.raises(ValueError, match="u_max"):
+        andrews_weight(0.5, u_max)
+
+
+def test_u_max_near_the_float_range_still_recovers_the_ue(stations, band):
+    # once raised ConfigError: coordinate x must be a finite number, got nan
+    ue = Position2D(11.0, 7.0)
+    m = exact_measurements(ue, stations, band)
+    est = irls_position(m, stations, irls=IrlsSettings(u_max_m=1e300))
+    assert euclidean_distance(est.position, ue) < 1e-9
+    assert est.converged and not est.degenerate
+
+
 # --- uncertainty factor --------------------------------------------------------------
 
 def spy_uncertainties(monkeypatch):
@@ -208,51 +234,23 @@ def test_uncertainty_biased_reference_sees_full_bias(stations, band, monkeypatch
 def test_uncertainty_is_the_mean_absolute_residual(stations, band, monkeypatch):
     # at every iteration, each reference's uncertainty equals, bit for bit,
     # the mean |residual| of its rows at that iteration's fused estimate
+    # the fused estimates are rebuilt from the uncertainties alone: the
+    # equal-weight fuse, then each iteration's normalized Andrews weights
     m = exact_measurements(Position2D(3.0, 21.0), stations, band, biases={2: 0.8})
     candidates = solve_all_references(m, stations)
-    fused = []
-
-    def recording_average(cands, weights):
-        fused.append(weighted_average(cands, weights))
-        return fused[-1]
-
-    monkeypatch.setattr(irls_module, "weighted_average", recording_average)
+    points = [(c.position.x, c.position.y) for c in candidates]
     seen = spy_uncertainties(monkeypatch)
     est = irls_position(m, stations)
     assert est.iterations > 1 and len(seen) == 4 * est.iterations
-    for i, q in enumerate(fused[: est.iterations]):
-        for c, u in zip(candidates, seen[4 * i : 4 * i + 4]):
-            residuals = residuals_at(q.x, q.y, c.range_differences)
+    q = fuse(points, [0.25] * 4)
+    for i in range(est.iterations):
+        us = seen[4 * i : 4 * i + 4]
+        for c, u in zip(candidates, us):
+            residuals = residuals_at(*q, c.range_differences)
             assert u == math.fsum(abs(r) for r in residuals) / len(residuals)
-
-
-# --- weighted average ------------------------------------------------------------------
-
-def _cands_at(points):
-    return [
-        CandidateEstimate(Position2D(*p), True, 1, RangeDifferenceSet(i + 1, p, ()))
-        for i, p in enumerate(points)
-    ]
-
-
-def test_weighted_average_idempotent():
-    cands = _cands_at([(3.0, 4.0)] * 4)
-    assert weighted_average(cands, [0.25] * 4) == Position2D(3.0, 4.0)
-
-
-def test_weighted_average_vertex():
-    cands = _cands_at([(1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (4.0, 4.0)])
-    assert weighted_average(cands, [1.0, 0.0, 0.0, 0.0]) == Position2D(1.0, 1.0)
-
-
-def test_weighted_average_midpoint():
-    cands = _cands_at([(0.0, 0.0), (2.0, 4.0)])
-    assert weighted_average(cands, [0.5, 0.5]) == Position2D(1.0, 2.0)
-
-
-def test_weighted_average_count_mismatch():
-    with pytest.raises(ValueError, match="weights"):
-        weighted_average(_cands_at([(0.0, 0.0)]), [0.5, 0.5])
+        raw = [andrews_weight(u, 1.0) for u in us]
+        q = fuse(points, [w / math.fsum(raw) for w in raw])
+    assert est.position == Position2D(*q)
 
 
 # --- the loop -----------------------------------------------------------------------------
@@ -296,7 +294,7 @@ def test_huge_epsilon_stops_after_one_iteration(stations, band):
     assert est.converged
     # with exact data the first weighted pass reproduces the equal-weight fuse
     candidates = solve_all_references(m, stations)
-    q0 = weighted_average(candidates, [0.25] * 4)
+    q0 = Position2D(*fuse([(c.position.x, c.position.y) for c in candidates], [0.25] * 4))
     assert euclidean_distance(est.position, q0) < 1e-12
 
 
@@ -311,7 +309,7 @@ def test_large_bias_degenerates_to_all_rejected(stations, band):
     assert set(est.rejected_station_ids()) == {1, 2, 3, 4}
     assert all(w == 0.0 for w in est.weights.values())
     candidates = solve_all_references(m, stations)
-    q0 = weighted_average(candidates, [0.25] * 4)
+    q0 = Position2D(*fuse([(c.position.x, c.position.y) for c in candidates], [0.25] * 4))
     assert euclidean_distance(est.position, q0) < 1e-12
     oracle = scripted_oracle(m, stations)
     assert oracle["degenerate"]
