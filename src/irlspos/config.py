@@ -26,7 +26,7 @@ error. The block below is itself a valid scenario file:
     height_difference_m: 0.0          # station minus UE height; range = hypot(d_2d, this)
     solver:
       max_iterations: 50
-      step_tolerance_m: 1.0e-6
+      step_tolerance_m: 1.0e-6        # > 0 and at most 1 m
       bounds_margin_m: 1.0            # solve box: station box plus this; start: station centroid
     irls: {u_max_m: 1.0, epsilon_m: 1.0e-3, max_iterations: 100}
 
@@ -47,7 +47,6 @@ from typing import Any
 from .channel import BandProfile, toa_noise_std
 from .errors import ConfigError, GeometryError
 from .geometry import (
-    SPEED_OF_LIGHT_M_S,
     BaseStation,
     Position2D,
     as_integer,
@@ -56,7 +55,7 @@ from .geometry import (
     read_fields,
 )
 from .irls import IrlsSettings
-from .lsq import SolverSettings
+from .lsq import SolverSettings, _rounding_m
 
 # PoI and trial indices are each one 32-bit word of a trial's seed key
 SEED_KEY_LIMIT = 2**32
@@ -150,15 +149,14 @@ class ScenarioConfig:
         if self.schedule_period_s < 0:
             raise ConfigError(f"schedule_period_s must be >= 0, got {self.schedule_period_s!r}")
         # the emulator adds a transmit stagger of up to this to a ToA, so a
-        # ToA is only known to one ulp of it; above the step tolerance, the
-        # rounding swamps the flight time and the fixes are silently wrong
+        # ToA is only known to one ulp of it
         ids = layout.ids
         try:
             stagger_s = (ids[-1] - ids[0]) * self.schedule_period_s
         except OverflowError:
             stagger_s = math.inf
-        rounding_m = SPEED_OF_LIGHT_M_S * math.ulp(stagger_s)
-        if rounding_m > self.solver.step_tolerance_m:
+        rounding_m = _rounding_m(stagger_s, self.solver)
+        if rounding_m is not None:
             raise ConfigError(
                 f"schedule_period_s={self.schedule_period_s!r}: station ids "
                 f"{ids[0]} to {ids[-1]} stagger the ToAs by up to {stagger_s!r} s, "
@@ -181,21 +179,20 @@ class ScenarioConfig:
         stagger ``(id - min_id) * schedule_period_s`` in seconds, the ranging
         noise std in meters (``toa_noise_std(band)``, or
         ``noise_override_m`` when set), and per PoI the range to each
-        station in id order: the 2D distance, or sqrt(d_2d^2 +
-        height_difference_m^2) when the height difference is not 0."""
+        station in id order, ``hypot(hypot(dx, dy), height_difference_m)``
+        for every height difference: at 0 it is the 2D distance, bit for
+        bit, since ``hypot(d, 0.0) == d``."""
         layout = check_station_layout(self.stations)
         ids, h = layout.ids, self.height_difference_m
         staggers = tuple([(sid - ids[0]) * self.schedule_period_s for sid in ids])
         sigma_m = self.noise_override_m
         if sigma_m is None:
             sigma_m = toa_noise_std(self.band)
-        ranges = []
-        for p in self.pois:
-            dists = [math.hypot(p.x - x, p.y - y) for x, y in layout.coords]
-            if h != 0.0:
-                dists = [math.hypot(dist, h) for dist in dists]
-            ranges.append(tuple(dists))
-        return ids, staggers, sigma_m, tuple(ranges)
+        ranges = tuple([
+            tuple([math.hypot(math.hypot(p.x - x, p.y - y), h) for x, y in layout.coords])
+            for p in self.pois
+        ])
+        return ids, staggers, sigma_m, ranges
 
     def with_overrides(
         self, *, root_seed: int | None = None, trials_per_poi: int | None = None

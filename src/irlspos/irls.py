@@ -79,16 +79,15 @@ class PositionEstimate:
     candidate that used it as reference; the weights sum to 1 except in the
     degenerate all-rejected case, where they are all zero, ``degenerate`` is
     set, and the position is the last fused estimate before rejection.
-    ``final_step_m`` is the last computed step between successive fused
-    estimates (inf when the loop never completed a step). ``candidates``
-    holds the per-reference solves, ascending by reference id.
+    ``converged`` is True iff the last step between successive fused
+    estimates was at most ``epsilon_m``. ``candidates`` holds the
+    per-reference solves, ascending by reference id.
     """
 
     position: Position2D
     weights: Mapping[int, float]
     iterations: int
     converged: bool
-    final_step_m: float
     candidates: tuple[CandidateEstimate, ...]
     degenerate: bool = False
 
@@ -167,7 +166,6 @@ def irls_position(
     weights = [1.0 / n] * n
     x = fsum([w * c for w, c in zip(weights, xs)])
     y = fsum([w * c for w, c in zip(weights, ys)])
-    step = math.inf
     converged = False
     iterations = 0
     for iterations in range(1, irls.max_iterations + 1):
@@ -182,17 +180,16 @@ def irls_position(
         total = fsum(raw)
         if total == 0.0:
             return PositionEstimate(
-                Position2D(x, y), dict.fromkeys(ids, 0.0), iterations, False, step, candidates, True
+                Position2D(x, y), dict.fromkeys(ids, 0.0), iterations, False, candidates, True
             )
         weights = [w / total for w in raw]
         x_next = fsum([w * c for w, c in zip(weights, xs)])
         y_next = fsum([w * c for w, c in zip(weights, ys)])
-        step = hypot(x_next - x, y_next - y)
+        converged = hypot(x_next - x, y_next - y) <= epsilon
         x, y = x_next, y_next
-        if step <= epsilon:
-            converged = True
+        if converged:
             break
 
     return PositionEstimate(
-        Position2D(x, y), dict(zip(ids, weights)), iterations, converged, step, candidates
+        Position2D(x, y), dict(zip(ids, weights)), iterations, converged, candidates
     )

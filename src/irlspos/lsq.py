@@ -39,19 +39,20 @@ notice only costs time.
 
 Every solve starts from the station centroid, which lies inside the convex
 hull for corner-mounted anchors and avoids the wrong hyperbola branch in
-typical layouts. The start, the step cap (the box diagonal) and the box come
-from the checked :class:`~irlspos.geometry.StationLayout`, which computes
-them once per layout. The rows each step reads are those of one
-:class:`~irlspos.tdoa.RangeDifferenceSet`, formed with every other
-reference's in one pass over the epoch. Each candidate carries its set, so
-the reweighting stage reads it instead of forming it again. An epoch is
-checked once, at the fix's edge: its
+typical layouts. The start, the step cap and the box come from the checked
+:class:`~irlspos.geometry.StationLayout`: its ``centroid``, its box
+``diagonal`` and its ``solve_box(margin)``. The rows each step reads are
+those of one :class:`~irlspos.tdoa.RangeDifferenceSet`, formed with every
+other reference's in one pass over the epoch. Each candidate carries its
+set, so the reweighting stage reads it instead of forming it again. An
+epoch is checked once, at the fix's edge: its
 :class:`~irlspos.channel.MeasurementSet` when it is built, and its station
-ids against the layout and its ToAs against the step tolerance in
-:func:`solve_all_references`. Range differences are formed below that edge
-without further checks. A plain station list is checked there too, once
-per distinct station tuple (:func:`~irlspos.geometry.check_station_layout`),
-so a fix does only per-epoch work.
+ids against the layout and its transmit stagger and ToAs against the step
+tolerance in :func:`solve_all_references`. Range differences are formed
+below that edge without further checks. A plain station list is checked
+there too, once per distinct station tuple
+(:func:`~irlspos.geometry.check_station_layout`), so a fix does only
+per-epoch work.
 """
 
 from __future__ import annotations
@@ -100,8 +101,12 @@ class SolverSettings:
         read_fields(self, as_number, "step_tolerance_m", "bounds_margin_m")
         if self.max_iterations < 1:
             raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
-        if self.step_tolerance_m <= 0:
-            raise ConfigError(f"step_tolerance_m must be > 0, got {self.step_tolerance_m!r}")
+        # at most 1 m keeps every time _rounding_m admits under 2**24 s, and
+        # every range difference under about 1.6e16 m, which the sums hold
+        if not 0 < self.step_tolerance_m <= 1:
+            raise ConfigError(
+                f"step_tolerance_m must be > 0 and at most 1 m, got {self.step_tolerance_m!r}"
+            )
         if self.bounds_margin_m < 0:
             raise ConfigError(f"bounds_margin_m must be >= 0, got {self.bounds_margin_m!r}")
 
@@ -110,19 +115,23 @@ class SolverSettings:
 DEFAULT_SETTINGS = SolverSettings()
 
 
+def _rounding_m(seconds: float, settings: SolverSettings) -> float | None:
+    """c * ulp(seconds), the range a time of ``seconds`` is known to, where
+    it exceeds the step tolerance, else None: a ToA or transmit stagger that
+    coarse swamps the flight time. The one rule for epochs and schedules."""
+    rounding_m = SPEED_OF_LIGHT_M_S * math.ulp(seconds)
+    return rounding_m if rounding_m > settings.step_tolerance_m else None
+
+
 @dataclass(frozen=True)
 class CandidateEstimate:
-    """Position estimate obtained with one particular reference station,
-    with the range differences it was solved from."""
+    """Position estimate solved with one reference station from the range
+    differences it carries, whose ``reference_id`` names that station."""
 
     position: Position2D
     converged: bool
     iterations_used: int
     range_differences: RangeDifferenceSet
-
-    @property
-    def reference_id(self) -> int:
-        return self.range_differences.reference_id
 
 
 def _gauss_newton_step(x: float, y: float, rd: RangeDifferenceSet) -> tuple[float, float] | None:
@@ -190,8 +199,9 @@ def solve_single_reference(
     layout: StationLayout,
     settings: SolverSettings | None = None,
 ) -> CandidateEstimate:
-    """Minimize the squared residuals of one reference choice, starting at
-    ``layout.centroid``.
+    """Minimize the squared residuals of one reference choice, from
+    ``layout.centroid`` within ``layout.solve_box(settings.bounds_margin_m)``,
+    the one solve box, by which ``ScenarioConfig`` also checks its PoIs.
 
     Returns the last iterate regardless of convergence; ``converged`` is
     True iff the raw Gauss-Newton step norm fell below the step tolerance
@@ -209,10 +219,7 @@ def solve_single_reference(
         settings = DEFAULT_SETTINGS
     hypot = math.hypot
     diag = layout.diagonal
-    # layout.solve_box(margin), formed in place
-    margin = settings.bounds_margin_m
-    min_x, min_y, max_x, max_y = layout.box
-    lo_x, lo_y, hi_x, hi_y = min_x - margin, min_y - margin, max_x + margin, max_y + margin
+    lo_x, lo_y, hi_x, hi_y = layout.solve_box(settings.bounds_margin_m)
     tolerance = settings.step_tolerance_m
     x, y = layout.centroid
 
@@ -269,11 +276,10 @@ def solve_all_references(
     Candidates that fail to converge are kept (flagged, not dropped); the
     downstream weighting stage decides how much they count. A measurement
     set whose station ids differ from the layout's raises ValueError naming
-    both. An epoch whose ToAs are too large to resolve the fix raises
-    ConfigError: a ToA is only known to one ulp, so when c * ulp(max |toa|)
-    exceeds the step tolerance, a transmit stagger (or clock offset) has
-    swamped the flight time, the rule ``ScenarioConfig`` applies to its
-    schedule.
+    both. An epoch that the step tolerance cannot resolve raises
+    ConfigError (see :func:`_rounding_m`): first for its declared transmit
+    stagger ``(ids[-1] - ids[0]) * schedule_period_s``, then for its largest
+    |ToA|, where a clock offset can swamp the flight time.
     """
     if settings is None:
         settings = DEFAULT_SETTINGS
@@ -283,13 +289,23 @@ def solve_all_references(
         raise ValueError(
             f"measurement set stations {m.station_ids} do not match layout {layout.ids}"
         )
+    ids = layout.ids
+    # the epoch's check computed this product, so it does not overflow
+    stagger_s = (ids[-1] - ids[0]) * m.schedule_period_s
+    rounding_m = _rounding_m(stagger_s, settings)
+    if rounding_m is not None:
+        raise ConfigError(
+            f"measurement set {m.epoch_id}: station ids {ids[0]} to {ids[-1]} stagger the "
+            f"ToAs by up to {stagger_s!r} s (schedule_period_s={m.schedule_period_s!r}), "
+            f"which rounds them to {rounding_m!r} m, more than step_tolerance_m="
+            f"{settings.step_tolerance_m!r}: the transmit stagger swamps the flight time"
+        )
     toa_max = max([abs(toa) for _, toa in m.samples])
-    resolution_m = SPEED_OF_LIGHT_M_S * math.ulp(toa_max)
-    if resolution_m > settings.step_tolerance_m:
+    rounding_m = _rounding_m(toa_max, settings)
+    if rounding_m is not None:
         raise ConfigError(
             f"measurement set {m.epoch_id}: ToAs up to {toa_max!r} s resolve ranges "
-            f"only to {resolution_m!r} m, more than step_tolerance_m="
-            f"{settings.step_tolerance_m!r}; the transmit stagger (schedule_period_s="
-            f"{m.schedule_period_s!r}) or clock offset swamps the flight time"
+            f"only to {rounding_m!r} m, more than step_tolerance_m="
+            f"{settings.step_tolerance_m!r}: a clock offset swamps the flight time"
         )
     return [solve_single_reference(rd, layout, settings) for rd in compute_tdoas(m, layout)]

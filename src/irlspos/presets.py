@@ -77,12 +77,12 @@ def corner_stations() -> tuple[BaseStation, ...]:
     )
 
 
-def cband_profile(snr_db: float = 20.0) -> BandProfile:
-    return BandProfile(bandwidth_hz=100e6, snr_linear=10.0 ** (snr_db / 10.0))
+def cband_profile() -> BandProfile:
+    return BandProfile(bandwidth_hz=100e6, snr_linear=10.0 ** (20.0 / 10.0))
 
 
-def mmwave_profile(snr_db: float = 20.0) -> BandProfile:
-    return BandProfile(bandwidth_hz=400e6, snr_linear=10.0 ** (snr_db / 10.0))
+def mmwave_profile() -> BandProfile:
+    return BandProfile(bandwidth_hz=400e6, snr_linear=10.0 ** (20.0 / 10.0))
 
 
 def get_preset(name: str) -> ScenarioConfig:

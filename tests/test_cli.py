@@ -1,5 +1,8 @@
 """Command-line surface: subcommands, exit codes, output files."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -117,6 +120,40 @@ def test_stagger_that_swamps_the_flight_time_exits_with_config_error(tmp_path, c
     assert main(["validate", str(path)]) == EXIT_CONFIG
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert capsys.readouterr().err.count("solver.step_tolerance_m") == 2
+    assert not (tmp_path / "out").exists()
+
+
+# A scenario that validated, and then hung at seed 5 and ended in a NaN
+# coordinate after 12 LAPACK DLASCL lines at seeds 1-4 and 6-8: its 1e300 m
+# step tolerance let the resolution rule admit ToAs near 3e299 s. It runs in
+# a new interpreter, so a hang fails on the timeout and LAPACK's lines show
+def test_step_tolerance_that_admits_overflowing_toas_exits_with_config_error(tmp_path):
+    path = tmp_path / "scenario.yaml"
+    corners = [(1, 0.0, 0.0), (2, 20.0, 0.0), (3, 20.0, 20.0), (4, 0.0, 20.0)]
+    raw = {
+        "stations": [{"id": sid, "x": x, "y": y} for sid, x, y in corners],
+        "pois": [{"x": 10.0, "y": 10.0}],
+        "band": {"bandwidth_hz": 1e8, "snr_db": 20.0},
+        "bias_model": {"type": "fixed", "value_m": 1e308},
+        "nlos_probability": 0.5,
+        "trials_per_poi": 4,
+        "solver": {"step_tolerance_m": 1e300},
+    }
+    path.write_text(yaml.safe_dump(raw))
+    src = str(Path(irlspos.__file__).resolve().parents[1])
+    out = str(tmp_path / "out")
+    for args in (["validate", str(path)], ["run", str(path), "--seed", "5", "--out", out]):
+        done = subprocess.run(
+            [sys.executable, "-m", "irlspos", *args],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == EXIT_CONFIG
+        assert done.stderr.splitlines() == [
+            "error: solver: step_tolerance_m must be > 0 and at most 1 m, got 1e+300"
+        ]
     assert not (tmp_path / "out").exists()
 
 

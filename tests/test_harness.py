@@ -833,3 +833,36 @@ def test_bandwidth_ordering_reduced():
     s_m = summarize(run_batch(mmwave))
     for method in (METHOD_LS, METHOD_IRLS):
         assert s_m[method].mean_error_m <= s_c[method].mean_error_m
+
+
+# --- efficiency on LoS against the Cramér-Rao bound ---------------------------------
+
+def crlb_trace_m2(stations, poi, sigma_m):
+    """trace(F^-1), the least mean squared error of an unbiased 2D fix at
+    ``poi`` from range differences of iid ToA noise with std ``sigma_m``:
+    F = H^T (I - 11^T / N) H / sigma^2, where H holds the unit vectors from
+    the stations to the PoI (Kay, Fundamentals of Statistical Signal
+    Processing I, 1993)."""
+    h = np.array([[poi.x - s.position.x, poi.y - s.position.y] for s in stations])
+    h /= np.linalg.norm(h, axis=1, keepdims=True)
+    n = len(stations)
+    fisher = h.T @ (np.eye(n) - np.ones((n, n)) / n) @ h / sigma_m**2
+    return float(np.trace(np.linalg.inv(fisher)))
+
+
+# the pooled IRLS mean squared error over the default batch, divided by the
+# bound averaged over the PoIs: 0.991 on both presets at the default seed
+# and 0.985-1.054 at seeds 1, 7 and 123. A sub-sigma bias in the stagger
+# removal, a loop that down-weights good candidates or a noise std 20% off
+# moves it out of the band. Fixed-reference LS sits about 10% above the
+# bound (1.107), as its own covariance predicts; it is printed, not asserted
+@pytest.mark.parametrize("name", ["static_cband", "static_mmwave"])
+def test_los_fix_is_efficient(name):
+    cfg = get_preset(name)
+    batch = run_batch(cfg)
+    sigma_m = toa_noise_std(cfg.band)
+    bound_m2 = np.mean([crlb_trace_m2(cfg.stations, poi, sigma_m) for poi in cfg.pois])
+    irls_ratio = np.mean(batch.errors(METHOD_IRLS) ** 2) / bound_m2
+    ls_ratio = np.mean(batch.errors(METHOD_LS) ** 2) / bound_m2
+    print(f"{name}: MSE / CRLB trace, IRLS {irls_ratio:.3f}, LS {ls_ratio:.3f}")
+    assert 0.9 <= irls_ratio <= 1.1

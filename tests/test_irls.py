@@ -6,6 +6,7 @@ then uncertainty -> Andrews -> normalize -> refuse until the step falls
 under the threshold).
 """
 
+import ast
 import math
 import re
 import sys
@@ -43,6 +44,7 @@ from conftest import (
     emulate_epoch,
     exact_measurements,
     fixes,
+    fresh_interpreter,
     fuse,
     loaded_after,
     residuals_at,
@@ -57,7 +59,7 @@ def scripted_oracle(m, stations, ls_settings=None, irls_settings=None):
     irls_settings = irls_settings or IrlsSettings()
     candidates = solve_all_references(m, stations, ls_settings)
     positions = [(c.position.x, c.position.y) for c in candidates]
-    refs = [c.reference_id for c in candidates]
+    refs = [c.range_differences.reference_id for c in candidates]
     deltas = {
         s.reference_id: deltas_by_id(s, stations)
         for s in compute_tdoas(m, check_station_layout(stations))
@@ -197,7 +199,7 @@ def uncertainties(q_wa, m, stations, monkeypatch):
     monkeypatch.setattr(irls_module, "solve_all_references", lambda *args: candidates)
     seen = spy_uncertainties(monkeypatch)
     irls_position(m, stations, irls=IrlsSettings(max_iterations=1))
-    return dict(zip((c.reference_id for c in candidates), seen))
+    return dict(zip((c.range_differences.reference_id for c in candidates), seen))
 
 
 def test_uncertainty_zero_at_truth(stations, band, monkeypatch):
@@ -500,6 +502,37 @@ def test_toa_bound_follows_the_step_tolerance(stations, band):
     m = exact_measurements(ue, stations, band, schedule_period_s=5.4)
     est = irls_position(m, stations, SolverSettings(step_tolerance_m=1e-5))
     assert euclidean_distance(est.position, ue) < 1e-5
+
+
+# Hand-built epochs whose ToAs leave out the stagger their period declares.
+# Before the stagger was checked, at 5e298 s the Gauss-Newton sums overflowed
+# and the step-halving loop never ended; at 1e299 s LAPACK printed DLASCL
+# complaints and the fix ended on a NaN coordinate; at 100 s a degenerate fix
+# came back from a schedule ScenarioConfig rejects. Each runs in a new
+# interpreter with its stderr in a file, so a hang fails on the timeout
+HAND_BUILT_STAGGER = textwrap.dedent(
+    """
+    import os, tempfile
+    from irlspos import ConfigError, MeasurementSet, irls_position
+    from irlspos.presets import corner_stations
+
+    stderr = tempfile.TemporaryFile()
+    os.dup2(stderr.fileno(), 2)
+    samples = ((1, 1e-8), (2, 2e-8), (3, 3e-8), (4, 4e-8))
+    try:
+        irls_position(MeasurementSet(0, samples, {period!r}), corner_stations())
+    except ConfigError as exc:
+        stderr.seek(0)
+        print(repr((str(exc), stderr.read())))
+    """
+)
+
+
+@pytest.mark.parametrize("period", [5e298, 1e299, 100.0])
+def test_declared_stagger_that_swamps_the_flight_time_is_rejected(period):
+    message, stderr = ast.literal_eval(fresh_interpreter(HAND_BUILT_STAGGER.format(period=period)))
+    assert f"station ids 1 to 4 stagger the ToAs by up to {3 * period!r} s" in message
+    assert stderr == b""
 
 
 # a permutation of up to 8 items: ORDERS draws it, reorder applies it

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from irlspos import (
     BaseStation,
+    ConfigError,
     GeometryError,
     Position2D,
     SolverSettings,
@@ -525,6 +526,21 @@ def test_malformed_solver_settings_are_rejected(field, value):
         SolverSettings(**{field: value})
 
 
+# a 1e300 m tolerance let the resolution rule admit ToAs near 3e299 s, whose
+# Gauss-Newton sums overflowed: a scenario validated and then hung
+@pytest.mark.parametrize("tolerance", [math.nextafter(1.0, 2.0), 2.0, 1e300])
+def test_step_tolerance_above_one_meter_is_rejected(tolerance):
+    with pytest.raises(ConfigError, match="step_tolerance_m must be > 0 and at most 1 m"):
+        SolverSettings(step_tolerance_m=tolerance)
+
+
+def test_step_tolerance_bound_keeps_admitted_times_under_2_24_s():
+    # c * ulp(t) first exceeds 1 m at t = 2**24 s
+    loosest = SolverSettings(step_tolerance_m=1.0)
+    assert lsq._rounding_m(math.nextafter(2.0**24, 0.0), loosest) is None
+    assert lsq._rounding_m(2.0**24, loosest) > 1.0
+
+
 def test_collinear_stations_raise(band):
     stations = [BaseStation(i, Position2D(float(i), float(i))) for i in range(1, 5)]
     with pytest.raises(GeometryError, match="collinear"):
@@ -539,7 +555,7 @@ def test_all_candidates_recover_truth_without_noise(stations, band):
     ue = Position2D(10.0, 10.0)
     m = exact_measurements(ue, stations, band)
     candidates = solve_all_references(m, stations)
-    assert [c.reference_id for c in candidates] == [1, 2, 3, 4]
+    assert [c.range_differences.reference_id for c in candidates] == [1, 2, 3, 4]
     for c in candidates:
         assert euclidean_distance(c.position, ue) < 1e-6
         assert c.converged
@@ -551,7 +567,7 @@ def test_biased_reference_has_largest_residual_norm(stations, band):
     ue = Position2D(14.5, 12.5)
     m = exact_measurements(ue, stations, band, biases={1: 10.0})
     candidates = solve_all_references(m, stations)
-    norms = {c.reference_id: residual_norm_m(c) for c in candidates}
+    norms = {c.range_differences.reference_id: residual_norm_m(c) for c in candidates}
     assert max(norms, key=norms.get) == 1
 
 
